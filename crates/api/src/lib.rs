@@ -149,17 +149,6 @@ mod tests {
                 other => panic!("{spec:?}: expected BadRequest, got {other:?}"),
             }
         }
-        // The lattice estimator is refused regardless of strategy.
-        let req = OptimizeRequest::new(NestSource::inline(nest.clone()), StrategySpec::Tiling)
-            .with_cache(CacheSpec::direct_mapped(1024, 32))
-            .with_estimator(EstimatorSpec::lattice);
-        match Session::default().run(&req) {
-            Err(ApiError::BadRequest(msg)) => {
-                assert!(msg.starts_with("inline nest `tri`: "), "{msg}");
-                assert!(msg.contains("`lattice` estimator"), "{msg}");
-            }
-            other => panic!("expected BadRequest, got {other:?}"),
-        }
         // Registry-sourced triangular nests lead with the kernel context,
         // matching `nest_error_wording_is_uniform_across_sources`.
         let req = OptimizeRequest::new(
@@ -178,8 +167,7 @@ mod tests {
 
     #[test]
     fn triangular_capable_families_still_run() {
-        // The sampled estimator and the non-gated families handle the
-        // triangular space end to end.
+        // The non-gated families handle the triangular space end to end.
         for spec in [
             StrategySpec::Tiling,
             StrategySpec::CacheOblivious,
@@ -385,7 +373,7 @@ mod tests {
 
     #[test]
     fn estimator_field_is_absent_by_default_on_the_wire() {
-        // Requests that don't pick a backend keep their pre-estimator
+        // Requests that don't spell the field out keep their pre-estimator
         // wire shape byte-for-byte — goldens and cache keys unchanged.
         let req = tiny_request(StrategySpec::Tiling);
         let wire = serde_json::to_string(&req).unwrap();
@@ -394,53 +382,49 @@ mod tests {
         assert_eq!(back.estimator, None);
         assert_eq!(back.estimator(), EstimatorSpec::cme);
 
-        let lat = tiny_request(StrategySpec::Tiling).with_estimator(EstimatorSpec::lattice);
-        let wire = serde_json::to_string(&lat).unwrap();
-        assert!(wire.contains("\"estimator\":\"lattice\""), "got: {wire}");
+        // `"cme"`, the only value, round-trips when spelled out.
+        let spelled = OptimizeRequest { estimator: Some(EstimatorSpec::cme), ..req };
+        let wire = serde_json::to_string(&spelled).unwrap();
+        assert!(wire.contains("\"estimator\":\"cme\""), "got: {wire}");
         let back: OptimizeRequest = serde_json::from_str(&wire).unwrap();
-        assert_eq!(back, lat);
-
-        assert!(EstimatorSpec::parse("nope").is_err());
-        assert_eq!(EstimatorSpec::parse("cme").unwrap(), EstimatorSpec::cme);
-        assert_eq!(EstimatorSpec::parse("lattice").unwrap(), EstimatorSpec::lattice);
+        assert_eq!(back, spelled);
     }
 
     #[test]
-    fn lattice_estimator_runs_the_searches() {
-        // The exact backend drives the same GA machinery; runs are
-        // deterministic and improve on the untiled baseline.
+    fn spelled_out_cme_estimator_runs_like_an_absent_field() {
         for strategy in [
             StrategySpec::Tiling,
+            StrategySpec::Padding { mode: PaddingMode::Pad },
             StrategySpec::Baseline { kind: BaselineKind::LrwSquare },
             StrategySpec::Exhaustive { step: 8, max_evals: 100 },
         ] {
-            let req = tiny_request(strategy.clone()).with_estimator(EstimatorSpec::lattice);
-            let out = Session::default().run(&req).unwrap();
-            let rerun = Session::default().run(&req).unwrap();
-            assert_eq!(out.without_timing(), rerun.without_timing(), "{strategy:?}");
-            assert!(
-                out.after.replacement_ratio() <= out.before.replacement_ratio(),
-                "{strategy:?}: lattice-scored transform must not hurt: {} -> {}",
-                out.before.replacement_ratio(),
-                out.after.replacement_ratio()
+            let absent = tiny_request(strategy.clone());
+            let spelled = OptimizeRequest { estimator: Some(EstimatorSpec::cme), ..absent.clone() };
+            let a = Session::default().run(&absent).unwrap();
+            let b = Session::default().run(&spelled).unwrap();
+            assert_eq!(
+                serde_json::to_string(&a.without_timing()).unwrap(),
+                serde_json::to_string(&b.without_timing()).unwrap(),
+                "{strategy:?}"
             );
         }
     }
 
     #[test]
-    fn padding_rejects_the_lattice_estimator() {
-        // Padding scores candidate *layouts*, which only the sampled
-        // classifier can address-remap — requesting lattice is an error,
-        // not a silent fallback.
-        for mode in [PaddingMode::Pad, PaddingMode::PadThenTile, PaddingMode::Joint] {
-            let req =
-                tiny_request(StrategySpec::Padding { mode }).with_estimator(EstimatorSpec::lattice);
-            match Session::default().run(&req) {
-                Err(ApiError::BadRequest(msg)) => {
-                    assert!(msg.contains("estimator"), "got: {msg}")
-                }
-                other => panic!("expected BadRequest, got {other:?}"),
-            }
+    fn lattice_estimator_no_longer_parses() {
+        // The removed backend is an unknown variant like any other: a
+        // parse error, never a silent fallback to `cme`. The same bodies
+        // spelling `"cme"` parse, so the failure is the value's alone.
+        let wire = serde_json::to_string(&tiny_request(StrategySpec::Tiling)).unwrap();
+        for (value, parses) in [("cme", true), ("lattice", false), ("nope", false)] {
+            let optimize = wire.replacen('{', &format!("{{\"estimator\":\"{value}\","), 1);
+            let compare = format!(r#"{{"base":{optimize},"strategies":["Tiling"]}}"#);
+            assert_eq!(
+                serde_json::from_str::<OptimizeRequest>(&optimize).is_ok(),
+                parses,
+                "{value}"
+            );
+            assert_eq!(serde_json::from_str::<CompareRequest>(&compare).is_ok(), parses, "{value}");
         }
     }
 }

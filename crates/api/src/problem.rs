@@ -1,10 +1,10 @@
 //! The resolved search problem handed to every strategy.
 
 use crate::error::ApiError;
-use crate::request::{EstimatorSpec, OptimizeRequest};
+use crate::request::OptimizeRequest;
 use cme_core::{
-    CacheHierarchy, CacheSpec, CmeModel, Estimator, EstimatorKind, EvalEngine, MissEstimate,
-    SamplingConfig, SharedDisplacements,
+    CacheHierarchy, CacheSpec, CmeModel, EvalEngine, MissEstimate, SamplingConfig,
+    SharedDisplacements,
 };
 use cme_ga::GaConfig;
 use cme_loopnest::{LoopNest, MemoryLayout};
@@ -38,9 +38,6 @@ pub struct Problem {
     ///
     /// [`Session`]: crate::Session
     pub displacements: Option<SharedDisplacements>,
-    /// Scoring backend candidate transforms are evaluated with (the
-    /// request's effective `estimator` field).
-    pub estimator: EstimatorSpec,
     /// Error-message context naming where the nest came from (``kernel
     /// `X` `` / ``inline nest `X` ``) — capability rejections lead with
     /// it so the wording stays uniform across sources.
@@ -53,23 +50,15 @@ impl Problem {
         let nest = req.nest.resolve()?;
         validate_cache(&req.cache)?;
         let layout = MemoryLayout::contiguous(&nest);
-        let problem = Problem {
+        Ok(Problem {
             nest,
             layout,
             hierarchy: req.cache.clone(),
             sampling: req.sampling,
             ga: req.ga,
             displacements: None,
-            estimator: req.estimator(),
             source: req.nest.label(),
-        };
-        // The lattice backend counts whole boxes in closed form; a
-        // triangular space would be silently over-counted, so refuse it
-        // up front for every strategy rather than per call site.
-        if problem.estimator == EstimatorSpec::lattice {
-            problem.require_rectangular("`lattice` estimator")?;
-        }
-        Ok(problem)
+        })
     }
 
     /// Gate for triangular-incapable paths: `Ok` on rectangular nests,
@@ -83,8 +72,7 @@ impl Problem {
         }
         Err(ApiError::BadRequest(format!(
             "{}: the {what} supports rectangular loop bounds only, but this nest has affine \
-             (triangular) bounds — use the sampled `cme` estimator with the tiling, baseline, \
-             oblivious or latency families",
+             (triangular) bounds — use the tiling, baseline, oblivious or latency families",
             self.source
         )))
     }
@@ -115,28 +103,11 @@ impl Problem {
         )
     }
 
-    /// The engine-side backend selector for this problem's estimator.
-    pub fn estimator_kind(&self) -> EstimatorKind {
-        match self.estimator {
-            EstimatorSpec::cme => EstimatorKind::Cme,
-            EstimatorSpec::lattice => EstimatorKind::Lattice,
-        }
-    }
-
-    /// Build this problem's scoring backend over a prebuilt engine (the
-    /// engine outlives the borrowing backend, so callers hold both).
-    pub fn backend<'e>(&self, engine: &'e EvalEngine) -> Box<dyn Estimator + 'e> {
-        self.estimator_kind().build(engine)
-    }
-
     /// Canonical estimate of the untransformed nest (the `before` of
-    /// every outcome) — hierarchy-aware, from a fresh engine and this
-    /// problem's estimator backend. Strategies that already hold an
-    /// engine use `problem.backend(&engine).estimate_canonical(None)`
+    /// every outcome) — hierarchy-aware, from a fresh engine. Strategies
+    /// that already hold an engine call `engine.estimate_canonical(None)`
     /// directly; this is the standalone convenience form.
     pub fn baseline_estimate(&self) -> MissEstimate {
-        let engine = self.engine();
-        let before = self.backend(&engine).estimate_canonical(None);
-        before
+        self.engine().estimate_canonical(None)
     }
 }

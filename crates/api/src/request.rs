@@ -95,40 +95,14 @@ pub enum BaselineKind {
     FixedFraction { fraction: f64 },
 }
 
-/// Which scoring backend evaluates candidate transforms — the wire form
-/// of the [`cme_core::Estimator`] seam. Lowercase variant names are the
-/// wire strings (`"cme"`, `"lattice"`).
+/// The wire `estimator` field's vocabulary. `"cme"` — the paper's sampled
+/// CME classifier (§2.3) — is the only value; any other string, including
+/// the removed `"lattice"`, fails to parse.
 #[allow(non_camel_case_types)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum EstimatorSpec {
-    /// The paper's sampled CME classifier (§2.3) — the default, and the
-    /// backend every golden output is pinned to.
     #[default]
     cme,
-    /// Closed-form lattice counting: exact reuse populations, stratified
-    /// interference verdicts, no sampling noise.
-    lattice,
-}
-
-impl EstimatorSpec {
-    /// The wire string, which is also [`cme_core::Estimator::name`].
-    pub fn name(&self) -> &'static str {
-        match self {
-            EstimatorSpec::cme => "cme",
-            EstimatorSpec::lattice => "lattice",
-        }
-    }
-
-    /// Parse a wire string (CLI flag values share the wire vocabulary).
-    pub fn parse(s: &str) -> Result<Self, ApiError> {
-        match s {
-            "cme" => Ok(EstimatorSpec::cme),
-            "lattice" => Ok(EstimatorSpec::lattice),
-            other => Err(ApiError::BadRequest(format!(
-                "unknown estimator `{other}` (expected `cme` or `lattice`)"
-            ))),
-        }
-    }
 }
 
 /// Which search to run over the transform space — the strategy selector
@@ -222,9 +196,8 @@ pub struct OptimizeRequest {
     /// use `ga.seed` for their sampling seeds.
     pub ga: GaConfig,
     pub strategy: StrategySpec,
-    /// Scoring backend for candidate transforms. Absent ⇒ the sampled
-    /// CME classifier — existing requests keep their wire shape (and
-    /// therefore their canonical cache keys) unchanged.
+    /// Optional, and `"cme"` when present: absent and spelled-out forms
+    /// score identically and share one canonical cache key.
     #[serde(skip_serializing_if = "Option::is_none")]
     pub estimator: Option<EstimatorSpec>,
 }
@@ -243,13 +216,7 @@ impl OptimizeRequest {
         }
     }
 
-    /// Select the scoring backend (`None` ⇒ sampled CME, the default).
-    pub fn with_estimator(mut self, estimator: EstimatorSpec) -> Self {
-        self.estimator = Some(estimator);
-        self
-    }
-
-    /// The effective scoring backend.
+    /// The effective `estimator` value.
     pub fn estimator(&self) -> EstimatorSpec {
         self.estimator.unwrap_or_default()
     }
@@ -334,9 +301,9 @@ impl LintRequest {
 /// cross-family gains are directly comparable.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CompareRequest {
-    /// The request every family runs: nest, cache, sampling, GA config,
-    /// estimator. Its own `strategy` field is ignored — `strategies`
-    /// below selects the entrants.
+    /// The request every family runs: nest, cache, sampling, GA config.
+    /// Its own `strategy` field is ignored — `strategies` below selects
+    /// the entrants.
     pub base: OptimizeRequest,
     /// The families to race, in request order (at least one). The serve
     /// layer additionally accepts [`StrategySpec::parse_token`] strings

@@ -88,20 +88,6 @@ fn tiling_optimizer(problem: &Problem) -> TilingOptimizer {
         sampling: problem.sampling,
         ga: problem.ga,
         provider: problem.displacements.clone(),
-        estimator: problem.estimator_kind(),
-    }
-}
-
-/// Padding searches score candidate *layouts*, whose address remap lives
-/// in the sampled classifier; the lattice backend counts the base layout
-/// only, so requesting it is a usage error, not a silent fallback.
-fn require_sampled_estimator(problem: &Problem, what: &str) -> Result<(), ApiError> {
-    match problem.estimator {
-        crate::request::EstimatorSpec::cme => Ok(()),
-        other => Err(ApiError::BadRequest(format!(
-            "{what} require the sampled `cme` estimator, got `{}`",
-            other.name()
-        ))),
     }
 }
 
@@ -161,7 +147,6 @@ impl SearchStrategy for PaddingStrategy {
     }
 
     fn search(&self, problem: &Problem) -> Result<Outcome, ApiError> {
-        require_sampled_estimator(problem, "padding strategies")?;
         // Padding GAs size their search space from rectangular array
         // extents; a triangular nest would be scored against a layout
         // family it never uses.
@@ -259,14 +244,12 @@ impl SearchStrategy for ExhaustiveStrategy {
         let b = OutcomeBuilder::new(self, problem);
         require_tileable(problem)?;
         // One shared engine: the whole sweep, the baseline and the final
-        // estimate borrow the same per-kernel analysis (through the
-        // request's estimator backend).
+        // estimate borrow the same per-kernel analysis.
         let engine = problem.engine();
-        let est = problem.backend(&engine);
-        let res = exhaustive_search_on(est.as_ref(), self.step, self.max_evals)
-            .map_err(ApiError::TooLarge)?;
-        let before = est.estimate_canonical(None);
-        let after = est.estimate_canonical(Some(&res.best_tiles));
+        let res =
+            exhaustive_search_on(&engine, self.step, self.max_evals).map_err(ApiError::TooLarge)?;
+        let before = engine.estimate_canonical(None);
+        let after = engine.estimate_canonical(Some(&res.best_tiles));
         let explored = res.landscape.len() as u64;
         Ok(b.finish(Transform::tiles(res.best_tiles), before, after, None, Some(explored)))
     }
@@ -306,9 +289,8 @@ impl SearchStrategy for BaselineStrategy {
         };
         tiles.validate(&problem.nest).map_err(|e| ApiError::IllegalTransform(e.to_string()))?;
         let engine = problem.engine();
-        let est = problem.backend(&engine);
-        let before = est.estimate_canonical(None);
-        let after = est.estimate_canonical(Some(&tiles));
+        let before = engine.estimate_canonical(None);
+        let after = engine.estimate_canonical(Some(&tiles));
         Ok(b.finish(Transform::tiles(tiles), before, after, None, None))
     }
 }
@@ -337,9 +319,8 @@ impl SearchStrategy for CacheObliviousStrategy {
         let res = cme_tileopt::cache_oblivious_tiles(&problem.nest);
         res.tiles.validate(&problem.nest).map_err(|e| ApiError::IllegalTransform(e.to_string()))?;
         let engine = problem.engine();
-        let est = problem.backend(&engine);
-        let before = est.estimate_canonical(None);
-        let after = est.estimate_canonical(Some(&res.tiles));
+        let before = engine.estimate_canonical(None);
+        let after = engine.estimate_canonical(Some(&res.tiles));
         Ok(b.finish(Transform::tiles(res.tiles), before, after, None, Some(res.halvings)))
     }
 }
@@ -364,9 +345,8 @@ impl SearchStrategy for LatencyBasedStrategy {
         let res = cme_tileopt::latency_based_tiles(&problem.nest, &problem.hierarchy);
         res.tiles.validate(&problem.nest).map_err(|e| ApiError::IllegalTransform(e.to_string()))?;
         let engine = problem.engine();
-        let est = problem.backend(&engine);
-        let before = est.estimate_canonical(None);
-        let after = est.estimate_canonical(Some(&res.tiles));
+        let before = engine.estimate_canonical(None);
+        let after = engine.estimate_canonical(Some(&res.tiles));
         Ok(b.finish(Transform::tiles(res.tiles), before, after, None, Some(res.probes)))
     }
 }

@@ -11,11 +11,7 @@
 //! * **engine_early_abandon** — the engine with the `SamplingConfig::
 //!   early_abandon` knob on and a rolling incumbent, the GA's actual
 //!   search regime (approximate costs for hopeless candidates,
-//!   deterministic, reported before/after estimates unaffected);
-//! * **lattice** — the closed-form lattice backend behind the same
-//!   `Estimator` seam: per-candidate cost independent of the iteration
-//!   count (no per-point sampling), so it must beat the sampled engine
-//!   arm's evals/s.
+//!   deterministic, reported before/after estimates unaffected).
 //!
 //! Writes `BENCH_eval.json` (skipped with `--no-write`, the CI smoke
 //! mode). The candidate count is the first positional argument
@@ -33,10 +29,7 @@
 //! ```
 
 use cme_core::engine::{fold_seed, SEED_SPLIT};
-use cme_core::{
-    CacheSpec, CmeModel, EarlyAbandonConfig, Estimator, EvalEngine, LatticeEstimator,
-    SamplingConfig,
-};
+use cme_core::{CacheSpec, CmeModel, EarlyAbandonConfig, EvalEngine, SamplingConfig};
 use cme_loopnest::{MemoryLayout, TileSizes};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -139,17 +132,6 @@ fn main() {
     let abandon =
         Arm { label: "engine_early_abandon", evals: n, wall_s: t0.elapsed().as_secs_f64() };
 
-    // Lattice backend over the same shared engine: closed-form counting,
-    // no per-point sampling — the second `Estimator` implementation.
-    let t0 = Instant::now();
-    let lattice_est = LatticeEstimator::new(&engine);
-    let mut check_lattice = 0.0f64;
-    for v in &cands {
-        check_lattice += lattice_est.cost(v, None);
-    }
-    std::hint::black_box(check_lattice);
-    let lattice = Arm { label: "lattice", evals: n, wall_s: t0.elapsed().as_secs_f64() };
-
     // Strategy-family arms: the same MM request answered by the GA
     // (tiling), the cache-oblivious halving and the latency-based probe
     // ladder — evals-to-answer and wall time per family. The tournament
@@ -159,8 +141,7 @@ fn main() {
 
     let speedup = engined.eps() / scratch.eps();
     let speedup_ea = abandon.eps() / scratch.eps();
-    let speedup_lattice = lattice.eps() / engined.eps();
-    for arm in [&scratch, &engined, &abandon, &lattice] {
+    for arm in [&scratch, &engined, &abandon] {
         println!(
             "{:>22}: {:8.1} evals/s ({:.3} ms/eval)",
             arm.label,
@@ -168,16 +149,7 @@ fn main() {
             arm.wall_s * 1e3 / arm.evals as f64
         );
     }
-    println!(
-        "engine speedup {speedup:.2}x, with early abandon {speedup_ea:.2}x; \
-         lattice {speedup_lattice:.2}x over the sampled engine"
-    );
-    assert!(
-        lattice.eps() > engined.eps(),
-        "lattice backend ({:.1} evals/s) must beat the sampled engine arm ({:.1} evals/s)",
-        lattice.eps(),
-        engined.eps()
-    );
+    println!("engine speedup {speedup:.2}x, with early abandon {speedup_ea:.2}x");
 
     let doc = serde::Value::Object(vec![
         ("bench".into(), serde::Value::Str("eval_throughput".into())),
@@ -188,11 +160,9 @@ fn main() {
         ("from_scratch".into(), scratch.json()),
         ("engine".into(), engined.json()),
         ("engine_early_abandon".into(), abandon.json()),
-        ("lattice".into(), lattice.json()),
         ("families".into(), families),
         ("engine_speedup".into(), serde::Value::Float(speedup)),
         ("early_abandon_speedup".into(), serde::Value::Float(speedup_ea)),
-        ("lattice_speedup".into(), serde::Value::Float(speedup_lattice)),
         (
             "note".into(),
             serde::Value::Str(

@@ -181,10 +181,6 @@ fn main() {
         "near-miss phase must be displacement-cache-served (hits = {})",
         disp.hits
     );
-    assert!(
-        near_speedup >= 3.0,
-        "displacement sharing must make near-misses ≥3× cold ({near_speedup:.2}×)"
-    );
 
     let doc = serde::Value::Object(vec![
         ("bench".into(), serde::Value::Str("serve_throughput".into())),

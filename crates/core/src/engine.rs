@@ -378,7 +378,7 @@ impl EvalEngine {
 
     /// Analysis at outer level `k` (0 = L2) of the base layout under an
     /// optional tiling, assembled from that level's shared candidate base.
-    pub(crate) fn outer_analysis(&self, k: usize, tiles: Option<&TileSizes>) -> NestAnalysis {
+    fn outer_analysis(&self, k: usize, tiles: Option<&TileSizes>) -> NestAnalysis {
         let level = &self.outer[k];
         match tiles.filter(|t| !t.is_trivial(&self.nest)) {
             None => (*level.untiled).clone(),
@@ -390,7 +390,7 @@ impl EvalEngine {
 
     /// Analysis at outer level `k` under an explicit layout (padding
     /// candidates at outer levels).
-    pub(crate) fn outer_analysis_for_layout(
+    fn outer_analysis_for_layout(
         &self,
         k: usize,
         layout: &MemoryLayout,
@@ -406,7 +406,7 @@ impl EvalEngine {
     /// produces the outer level estimates (index 0 = L2). No-op for the
     /// legacy single-level engine — the estimate stays breakdown-free and
     /// byte-identical to the pre-hierarchy form.
-    pub(crate) fn decorate(
+    fn decorate(
         &self,
         l1: MissEstimate,
         mut level_est: impl FnMut(usize) -> MissEstimate,

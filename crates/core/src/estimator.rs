@@ -1,33 +1,17 @@
 //! The estimator seam: one trait abstracting *nest + hierarchy +
 //! transform → [`MissEstimate`]*.
 //!
-//! Every search in the suite scores candidate transforms through this
-//! trait, so the scoring backend is a per-request choice rather than a
-//! compile-time fact:
-//!
-//! * [`EvalEngine`] — the paper's sampled CME classifier (§2.3): random
-//!   iteration points, per-point classification, confidence intervals.
-//!   The default, and the backend all golden outputs are pinned to.
-//! * [`crate::lattice::LatticeEstimator`] — closed-form lattice counting:
-//!   exact reuse-population counts with no per-point sampling (see the
-//!   module docs for the exact/approximate split).
-//!
-//! Both backends are deterministic for a fixed engine and transform; the
-//! sampled backend additionally folds transform values into its sampling
-//! seed (so distinct candidates sample distinct points), which exact
-//! backends simply ignore.
+//! [`EvalEngine`] — the paper's sampled CME classifier (§2.3): random
+//! iteration points, per-point classification, confidence intervals — is
+//! the only implementor, and every search in the suite scores candidate
+//! transforms through it.
 
 use crate::engine::EvalEngine;
 use crate::estimate::MissEstimate;
 use cme_loopnest::{MemoryLayout, TileSizes};
 
-/// A scoring backend: estimates miss behaviour of the engine's nest under
-/// an optional layout/tiling transform.
+/// A scoring backend; still a trait only because the benchmark's traced replay scores through it.
 pub trait Estimator: Sync {
-    /// Stable backend identifier — the wire value of the request's
-    /// `estimator` field (`"cme"`, `"lattice"`).
-    fn name(&self) -> &'static str;
-
     /// The shared evaluation engine (nest, layout, hierarchy, per-kernel
     /// analysis) this estimator scores against.
     fn engine(&self) -> &EvalEngine;
@@ -37,9 +21,8 @@ pub trait Estimator: Sync {
     fn estimate_canonical(&self, tiles: Option<&TileSizes>) -> MissEstimate;
 
     /// Search-time estimate under an explicit layout and/or tiling.
-    /// `sample_seed` is the sampling backend's per-candidate seed (exact
-    /// backends ignore it); `incumbent` is a weighted-cost upper bound
-    /// enabling early abandonment where the backend supports it.
+    /// `sample_seed` is the per-candidate sampling seed; `incumbent` is a
+    /// weighted-cost upper bound enabling early abandonment.
     fn estimate_transformed(
         &self,
         layout: Option<&MemoryLayout>,
@@ -53,13 +36,9 @@ pub trait Estimator: Sync {
     fn cost(&self, values: &[i64], incumbent: Option<f64>) -> f64;
 }
 
-/// References delegate, so `&EvalEngine` (or any borrowed backend) can be
-/// boxed as a `dyn Estimator` without a wrapper type.
+/// References delegate, so `&EvalEngine` can be boxed as a
+/// `dyn Estimator` without a wrapper type.
 impl<T: Estimator + ?Sized> Estimator for &T {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-
     fn engine(&self) -> &EvalEngine {
         (**self).engine()
     }
@@ -83,37 +62,25 @@ impl<T: Estimator + ?Sized> Estimator for &T {
     }
 }
 
-/// Value-level backend selector — the engine-side counterpart of the wire
-/// `estimator` field. Layers that hold an [`EvalEngine`] (the tile
-/// optimiser, the API strategies) carry a kind and [`build`](Self::build)
-/// the borrowing backend at search time.
+/// Backend selector; still exists only because the benchmark's traced replay builds through it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EstimatorKind {
     /// The sampled CME classifier ([`EvalEngine`] itself).
     #[default]
     Cme,
-    /// Closed-form lattice counting
-    /// ([`crate::lattice::LatticeEstimator`]).
-    Lattice,
 }
 
 impl EstimatorKind {
-    /// Build the backend over a shared engine.
+    /// Borrow the shared engine as a boxed estimator.
     pub fn build<'e>(self, engine: &'e EvalEngine) -> Box<dyn Estimator + 'e> {
         match self {
             EstimatorKind::Cme => Box::new(engine),
-            EstimatorKind::Lattice => Box::new(crate::lattice::LatticeEstimator::new(engine)),
         }
     }
 }
 
-/// The sampled CME classifier is the first (and default) backend: the
-/// trait methods are exactly the engine's inherent entry points.
+/// The trait methods are exactly the engine's inherent entry points.
 impl Estimator for EvalEngine {
-    fn name(&self) -> &'static str {
-        "cme"
-    }
-
     fn engine(&self) -> &EvalEngine {
         self
     }

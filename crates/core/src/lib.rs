@@ -42,7 +42,6 @@ pub mod estimate;
 pub mod estimator;
 pub mod hierarchy;
 pub mod interference;
-pub mod lattice;
 pub mod lexmax;
 pub mod model;
 pub mod reuse;
@@ -53,7 +52,6 @@ pub use engine::{DisplacementKey, DisplacementProvider, EvalEngine, SharedDispla
 pub use estimate::{Counts, LevelEstimate, LevelReport, MissEstimate, MissReport};
 pub use estimator::{Estimator, EstimatorKind};
 pub use hierarchy::{CacheHierarchy, CacheLevel, LEGACY_MISS_LATENCY};
-pub use lattice::LatticeEstimator;
 pub use model::{CmeModel, NestAnalysis};
 pub use sampling::{EarlyAbandonConfig, SamplingConfig};
 

@@ -210,78 +210,6 @@ pub fn lift_base(base: &CandidateBase, space: &ExecSpace) -> Vec<Vec<ReuseCandid
         .collect()
 }
 
-/// Lift only the `cap` most-recent candidates per reference — the
-/// bounded-selection variant of [`lift_base`] for consumers that walk
-/// candidates most-recent-first and can conservatively treat the tail as
-/// absent (the lattice estimator at large iteration volumes). Selection
-/// streams realisations through the allocation-free visitor and keeps a
-/// worst-tracking heap of size `cap`, so the cost is bounded by the
-/// selection, not the full materialisation. The result is a prefix of
-/// [`lift_base`]'s output (up to duplicates consuming heap slots, which
-/// can only shorten it — never reorder it).
-pub fn lift_base_capped(
-    base: &CandidateBase,
-    space: &ExecSpace,
-    cap: usize,
-) -> Vec<Vec<ReuseCandidate>> {
-    use std::collections::BinaryHeap;
-
-    /// Max-heap wrapper: the greatest element is the *least recent*
-    /// candidate (largest displacement, earliest body position).
-    struct ByRecency(ReuseCandidate);
-    impl PartialEq for ByRecency {
-        fn eq(&self, other: &Self) -> bool {
-            self.cmp(other) == Ordering::Equal
-        }
-    }
-    impl Eq for ByRecency {}
-    impl PartialOrd for ByRecency {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl Ord for ByRecency {
-        fn cmp(&self, other: &Self) -> Ordering {
-            lex_cmp(&self.0.rv, &other.0.rv).then(other.0.src_ref.cmp(&self.0.src_ref))
-        }
-    }
-
-    base.iter()
-        .enumerate()
-        .map(|(a, pairs)| {
-            let mut heap: BinaryHeap<ByRecency> = BinaryHeap::with_capacity(cap + 1);
-            for (b, displacements) in pairs {
-                for r in displacements.iter() {
-                    space.lift_displacement_each(r, |rv| {
-                        // Sign of rv in lex order, without allocating a
-                        // zero vector: first non-zero component decides.
-                        match rv.iter().find(|&&x| x != 0) {
-                            None if *b >= a => return,
-                            Some(&x) if x < 0 => return,
-                            _ => {}
-                        }
-                        if heap.len() == cap {
-                            // Compare against the current worst without
-                            // allocating; identical or less recent → skip.
-                            let worst = &heap.peek().unwrap().0;
-                            let ord = lex_cmp(rv, &worst.rv).then(worst.src_ref.cmp(b));
-                            if ord != Ordering::Less {
-                                return;
-                            }
-                            heap.pop();
-                        }
-                        heap.push(ByRecency(ReuseCandidate { rv: rv.to_vec(), src_ref: *b }));
-                    });
-                }
-            }
-            let mut cands: Vec<ReuseCandidate> =
-                heap.into_sorted_vec().into_iter().map(|w| w.0).collect();
-            cands.dedup();
-            cands
-        })
-        .collect()
-}
-
 /// Generate the recency-sorted candidate list for every reference of a
 /// nest under a layout, lifted into the given execution space, for the
 /// given cache line size. Equivalent to lifting [`candidate_base`] —
@@ -360,35 +288,6 @@ mod tests {
         for per_ref in &cands {
             for w in per_ref.windows(2) {
                 assert_ne!(lex_cmp(&w[0].rv, &w[1].rv), Ordering::Greater, "must be ascending");
-            }
-        }
-    }
-
-    /// Bounded selection must return an exact prefix of the full
-    /// recency-sorted lift, for every cap, in tiled and untiled spaces.
-    #[test]
-    fn capped_lift_is_a_prefix_of_the_full_lift() {
-        let nest = mm_nest();
-        let layout = MemoryLayout::contiguous(&nest);
-        for space in [ExecSpace::untiled(&nest), ExecSpace::tiled(&nest, &TileSizes(vec![3, 4, 5]))]
-        {
-            let base = candidate_base(&nest, &layout, 32);
-            let full = lift_base(&base, &space);
-            for cap in [1, 2, 3, 7, 16, 64, MAX_CANDIDATES_PER_REF] {
-                let capped = lift_base_capped(&base, &space, cap);
-                for (a, (got, want)) in capped.iter().zip(&full).enumerate() {
-                    assert!(got.len() <= cap, "ref {a}: cap {cap} exceeded");
-                    assert_eq!(
-                        got.as_slice(),
-                        &want[..got.len()],
-                        "ref {a} cap {cap}: capped lift must be a prefix of the full lift"
-                    );
-                    // Duplicate heap slots may shorten the result, but the
-                    // most recent candidate always survives selection.
-                    if !want.is_empty() {
-                        assert!(!got.is_empty(), "ref {a} cap {cap}: lost every candidate");
-                    }
-                }
             }
         }
     }

@@ -261,62 +261,48 @@ impl ExecSpace {
     /// dimension (same-block and adjacent-block "wrap"); the result is the
     /// cartesian product over dimensions.
     pub fn lift_displacement(&self, r: &[i64]) -> Vec<Vec<i64>> {
-        let mut out = Vec::new();
-        self.lift_displacement_each(r, |v| out.push(v.to_vec()));
-        out
-    }
-
-    /// Visitor form of [`Self::lift_displacement`]: calls `f` with each
-    /// realisation in the same order, reusing one scratch buffer — the
-    /// allocation-free path for consumers that filter most realisations
-    /// out (e.g. capped candidate selection).
-    pub fn lift_displacement_each(&self, r: &[i64], mut f: impl FnMut(&[i64])) {
         debug_assert_eq!(r.len(), self.n_orig);
-        match &self.kind {
-            SpaceKind::Original => f(r),
-            SpaceKind::Tiled { tiles } => {
-                let d = self.n_orig;
-                let mut per_dim: Vec<Vec<(i64, i64)>> = Vec::with_capacity(d);
-                for t in 0..d {
-                    let tile = tiles.0[t];
-                    let mut opts = Vec::with_capacity(2);
-                    let db0 = r[t].div_euclid(tile);
-                    for db in [db0, db0 + 1] {
-                        let du = r[t] - db * tile;
-                        if du.abs() < tile {
-                            opts.push((db, du));
-                        }
-                    }
-                    opts.dedup();
-                    per_dim.push(opts);
+        let SpaceKind::Tiled { tiles } = &self.kind else {
+            return vec![r.to_vec()];
+        };
+        let d = self.n_orig;
+        let mut per_dim: Vec<Vec<(i64, i64)>> = Vec::with_capacity(d);
+        for t in 0..d {
+            let tile = tiles.0[t];
+            let mut opts = Vec::with_capacity(2);
+            let db0 = r[t].div_euclid(tile);
+            for db in [db0, db0 + 1] {
+                let du = r[t] - db * tile;
+                if du.abs() < tile {
+                    opts.push((db, du));
                 }
-                // Cartesian product, last dimension varying fastest (the
-                // order the materialising form historically produced).
-                let mut idx = vec![0usize; d];
-                let mut v = vec![0i64; 2 * d];
-                loop {
-                    for t in 0..d {
-                        let (db, du) = per_dim[t][idx[t]];
-                        v[t] = db;
-                        v[d + t] = du;
-                    }
-                    f(&v);
-                    let mut t = d;
-                    loop {
-                        if t == 0 {
-                            return;
-                        }
-                        t -= 1;
-                        idx[t] += 1;
-                        if idx[t] < per_dim[t].len() {
-                            break;
-                        }
-                        idx[t] = 0;
-                        if t == 0 {
-                            return;
-                        }
-                    }
+            }
+            opts.dedup();
+            per_dim.push(opts);
+        }
+        // Cartesian product as an odometer, last dimension varying
+        // fastest; one allocation per realisation.
+        let mut out = Vec::new();
+        let mut idx = vec![0usize; d];
+        loop {
+            let mut v = vec![0i64; 2 * d];
+            for t in 0..d {
+                let (db, du) = per_dim[t][idx[t]];
+                v[t] = db;
+                v[d + t] = du;
+            }
+            out.push(v);
+            let mut t = d;
+            loop {
+                if t == 0 {
+                    return out;
                 }
+                t -= 1;
+                idx[t] += 1;
+                if idx[t] < per_dim[t].len() {
+                    break;
+                }
+                idx[t] = 0;
             }
         }
     }

@@ -52,60 +52,10 @@ impl IntBox {
         self.dims.iter().zip(x).all(|(iv, v)| iv.contains(*v))
     }
 
-    /// Whether the intersection with `other` is non-empty, without
-    /// materialising it.
-    pub fn overlaps(&self, other: &IntBox) -> bool {
-        debug_assert_eq!(self.dims.len(), other.dims.len());
-        !self.is_empty()
-            && !other.is_empty()
-            && self.dims.iter().zip(&other.dims).all(|(a, b)| a.lo <= b.hi && b.lo <= a.hi)
-    }
-
     /// Component-wise intersection (possibly empty).
     pub fn intersect(&self, other: &IntBox) -> IntBox {
         debug_assert_eq!(self.dims.len(), other.dims.len());
         IntBox { dims: self.dims.iter().zip(&other.dims).map(|(a, b)| a.intersect(b)).collect() }
-    }
-
-    /// The box translated by `r` (component-wise): `{ x + r : x ∈ self }`.
-    pub fn shift(&self, r: &[i64]) -> IntBox {
-        debug_assert_eq!(r.len(), self.dims.len());
-        IntBox { dims: self.dims.iter().zip(r).map(|(iv, &d)| iv.shift(d)).collect() }
-    }
-
-    /// `self \ other` as a list of *disjoint* boxes (standard per-dimension
-    /// slab decomposition: at most `2·n_dims` pieces). An empty result
-    /// means `other` covers `self`.
-    pub fn subtract(&self, other: &IntBox) -> Vec<IntBox> {
-        debug_assert_eq!(self.dims.len(), other.dims.len());
-        if self.is_empty() {
-            return Vec::new();
-        }
-        let common = self.intersect(other);
-        if common.is_empty() {
-            return vec![self.clone()];
-        }
-        let mut out = Vec::new();
-        // Peel dimension by dimension: pieces outside `other` in dimension
-        // t keep self's range in dims > t and the already-clamped common
-        // range in dims < t, so the pieces are pairwise disjoint.
-        let mut core = self.clone();
-        for t in 0..self.dims.len() {
-            let iv = core.dims[t];
-            let c = common.dims[t];
-            if iv.lo < c.lo {
-                let mut below = core.clone();
-                below.dims[t] = Interval::new(iv.lo, c.lo - 1);
-                out.push(below);
-            }
-            if iv.hi > c.hi {
-                let mut above = core.clone();
-                above.dims[t] = Interval::new(c.hi + 1, iv.hi);
-                out.push(above);
-            }
-            core.dims[t] = c;
-        }
-        out
     }
 
     /// Clamp one dimension to an interval, returning `None` if the result
@@ -269,45 +219,6 @@ mod tests {
         assert_eq!(b.lex_min(), Some(vec![2, 1]));
         assert_eq!(b.lex_max(), Some(vec![5, 1]));
         assert_eq!(bx(&[(1, 0)]).lex_min(), None);
-    }
-
-    #[test]
-    fn shift_translates() {
-        let b = bx(&[(0, 2), (1, 3)]);
-        assert_eq!(b.shift(&[5, -1]), bx(&[(5, 7), (0, 2)]));
-    }
-
-    #[test]
-    fn subtract_is_exact_and_disjoint() {
-        // Randomised: |a \ b| point-set must equal the piece union, pieces
-        // pairwise disjoint.
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-        for _ in 0..300 {
-            let d = rng.gen_range(1..=3usize);
-            let mk = |rng: &mut rand::rngs::StdRng| {
-                IntBox::new(
-                    (0..d)
-                        .map(|_| {
-                            let lo = rng.gen_range(-4..=4i64);
-                            Interval::new(lo, lo + rng.gen_range(-1..=5i64))
-                        })
-                        .collect(),
-                )
-            };
-            let a = mk(&mut rng);
-            let b = mk(&mut rng);
-            let pieces = a.subtract(&b);
-            let expect: std::collections::HashSet<Vec<i64>> =
-                a.iter_points().filter(|p| !b.contains(p)).collect();
-            let mut got = std::collections::HashSet::new();
-            for piece in &pieces {
-                for p in piece.iter_points() {
-                    assert!(got.insert(p), "pieces overlap: {pieces:?}");
-                }
-            }
-            assert_eq!(got, expect, "a={a:?} b={b:?}");
-        }
     }
 
     #[test]

@@ -23,9 +23,6 @@
 //!   al. that the paper's solver builds on.
 //! * [`modhit`] — the modular variant `∃ x ∈ Box : F(x) mod M ∈ [a, b]`
 //!   (gcd saturation, period clipping, bitset sum-set fallback).
-//! * [`modcount`] — the counting variant: the exact residue histogram of
-//!   `F(x) mod M` over a box via arithmetic-progression convolution,
-//!   independent of the box volume (the lattice estimator's core).
 //! * [`enumhit`] — brute-force enumeration: the oracle the fast solvers are
 //!   validated against and the "naive" baseline of the paper's §2.3
 //!   speed-up claim.
@@ -45,7 +42,6 @@ pub mod enumhit;
 pub mod formhit;
 pub mod interval;
 pub mod lex;
-pub mod modcount;
 pub mod modhit;
 pub mod polyhedron;
 

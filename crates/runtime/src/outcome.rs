@@ -28,10 +28,10 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 /// request cannot fail; the debug form is a defensive fallback, not a
 /// second key space.)
 pub fn canonical_key(req: &OptimizeRequest) -> String {
-    // A spelled-out default estimator collapses onto the field-absent
-    // form (same behaviour ⇒ same entry); non-default backends key
-    // separately, since they produce different outcomes.
-    if req.estimator == Some(cme_api::EstimatorSpec::default()) {
+    // A spelled-out `estimator` (only ever `"cme"`) collapses onto the
+    // field-absent form: same behaviour ⇒ same entry. The common absent
+    // case serialises without a clone.
+    if req.estimator.is_some() {
         let mut r = req.clone();
         r.estimator = None;
         return serde_json::to_string(&r).unwrap_or_else(|_| format!("unserialisable:{r:?}"));
@@ -47,15 +47,13 @@ pub fn canonical_lint_key(req: &LintRequest) -> String {
 /// The cache key for a compare request. Two extra normalisations on top
 /// of the canonical-serialisation rule: the base request's own
 /// `strategy` field is pinned to a fixed value (the tournament ignores
-/// it — `strategies` selects the entrants), and a spelled-out default
-/// estimator collapses onto the field-absent form, both so requests that
-/// answer identically share one entry.
+/// it — `strategies` selects the entrants), and a spelled-out
+/// `estimator` collapses onto the field-absent form, both so requests
+/// that answer identically share one entry.
 pub fn canonical_compare_key(req: &CompareRequest) -> String {
     let mut r = req.clone();
     r.base.strategy = cme_api::StrategySpec::Tiling;
-    if r.base.estimator == Some(cme_api::EstimatorSpec::default()) {
-        r.base.estimator = None;
-    }
+    r.base.estimator = None;
     serde_json::to_string(&r).unwrap_or_else(|_| format!("unserialisable:{r:?}"))
 }
 
@@ -396,16 +394,11 @@ mod key_tests {
     #[test]
     fn canonical_key_covers_the_estimator_field() {
         let base = OptimizeRequest::new(NestSource::kernel_sized("T2D", 32), StrategySpec::Tiling);
-        let spelled_default = base.clone().with_estimator(EstimatorSpec::cme);
-        let lattice = base.clone().with_estimator(EstimatorSpec::lattice);
+        let spelled = OptimizeRequest { estimator: Some(EstimatorSpec::cme), ..base.clone() };
 
-        // A spelled-out default collapses onto the field-absent key —
+        // A spelled-out `"cme"` collapses onto the field-absent key —
         // same behaviour, one cache entry.
-        assert_eq!(canonical_key(&base), canonical_key(&spelled_default));
-        // A different backend produces different outcomes, so it must
-        // key separately.
-        assert_ne!(canonical_key(&base), canonical_key(&lattice));
-        assert!(canonical_key(&lattice).contains("\"estimator\":\"lattice\""));
+        assert_eq!(canonical_key(&base), canonical_key(&spelled));
         assert!(!canonical_key(&base).contains("estimator"));
     }
 
@@ -424,9 +417,7 @@ mod key_tests {
         let mut spelled = tournament.clone();
         spelled.base.estimator = Some(EstimatorSpec::cme);
         assert_eq!(canonical_compare_key(&tournament), canonical_compare_key(&spelled));
-        let mut lattice = tournament.clone();
-        lattice.base.estimator = Some(EstimatorSpec::lattice);
-        assert_ne!(canonical_compare_key(&tournament), canonical_compare_key(&lattice));
+        assert!(!canonical_compare_key(&spelled).contains("estimator"));
 
         // A different line-up is a different tournament.
         let solo = tournament.clone().with_strategies(vec![StrategySpec::Tiling]);

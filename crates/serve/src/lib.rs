@@ -18,9 +18,8 @@
 //! * **Shared runtime state.** Cross-request evaluation state — the
 //!   tiered outcome cache (optionally disk-backed via `cache_dir`), the
 //!   process-wide displacement cache and in-flight request coalescing —
-//!   lives in [`cme_runtime`] and is owned by the [`router::App`];
-//!   [`cache`] re-exports the cache types for compatibility. All of it
-//!   is visible in `GET /metrics` ([`metrics`]).
+//!   lives in [`cme_runtime`] and is owned by the [`router::App`]. All
+//!   of it is visible in `GET /metrics` ([`metrics`]).
 //! * **Layers testable without sockets.** HTTP framing ([`http`]),
 //!   routing ([`router`]), the queue/pool and the caches are all plain
 //!   data-in/data-out modules; only [`server`] owns a `TcpListener`.
@@ -39,7 +38,6 @@
 //! handle.shutdown_and_join();
 //! ```
 
-pub mod cache;
 pub mod client;
 pub mod http;
 pub mod metrics;
@@ -47,9 +45,6 @@ pub mod pool;
 pub mod router;
 pub mod server;
 
-pub use cache::{
-    canonical_key, canonical_lint_key, LintCache, OutcomeCache, Tier, TieredOutcomeCache,
-};
 pub use client::HttpClient;
 pub use http::{frame_request, Frame, HttpRequest, HttpResponse};
 pub use metrics::Metrics;

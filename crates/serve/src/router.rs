@@ -20,12 +20,11 @@
 //! minimal `{"nest": ..., "strategy": ...}` is a complete request and maps
 //! to the same cache entry as its fully spelled-out form.
 
-use crate::cache::canonical_key;
 use crate::http::{HttpRequest, HttpResponse};
 use crate::metrics::Metrics;
 use cme_api::cme::{CacheSpec, SamplingConfig};
 use cme_api::{ApiError, GaConfig, LintRequest, OptimizeRequest, Outcome};
-use cme_runtime::{Resolution, Runtime, RuntimeConfig, RuntimeError};
+use cme_runtime::{canonical_key, Resolution, Runtime, RuntimeConfig, RuntimeError};
 use serde::Value;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
@@ -654,6 +653,38 @@ mod tests {
 
         // The batch's (deduplicated) fresh run is now cached too.
         assert_eq!(app.runtime.outcomes().len(), 2);
+    }
+
+    #[test]
+    fn lattice_estimator_answers_400_on_every_route() {
+        // The removed backend is an unknown variant: each route's parse
+        // path answers its own 400, nothing is computed, and the same app
+        // keeps serving valid requests.
+        let app = App::new(1, 8);
+        let lattice = TINY.replacen('{', r#"{"estimator": "lattice","#, 1);
+        let compare = format!(r#"{{"base": {lattice}, "strategies": ["oblivious"]}}"#);
+        let batch = format!("[{TINY}, {lattice}]");
+        for (path, body, needle) in [
+            ("/optimize", lattice.as_str(), "bad optimize request"),
+            ("/compare", compare.as_str(), "bad compare request"),
+            ("/batch", batch.as_str(), "bad request at index 1"),
+        ] {
+            let resp = app.handle(&post(path, body));
+            assert_eq!(resp.status, 400, "{path}: {}", resp.body);
+            assert!(resp.body.contains(needle), "{path}: {}", resp.body);
+            assert!(resp.body.contains("unknown variant `lattice`"), "{path}: {}", resp.body);
+        }
+        assert!(app.runtime.outcomes().is_empty(), "a rejected request computes nothing");
+
+        // A spelled-out `"cme"` is served, and shares the absent form's
+        // cache entry.
+        let spelled = TINY.replacen('{', r#"{"estimator": "cme","#, 1);
+        let cold = app.handle(&post("/optimize", &spelled));
+        assert_eq!(cold.status, 200, "{}", cold.body);
+        let hot = app.handle(&post("/optimize", TINY));
+        assert_eq!(hot.status, 200, "{}", hot.body);
+        assert_eq!(app.runtime.outcomes().hits(), 1);
+        assert_eq!(app.runtime.outcomes().len(), 1);
     }
 
     #[test]

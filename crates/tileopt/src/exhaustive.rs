@@ -4,7 +4,7 @@
 //! the GA-vs-optimal experiments use it as ground truth.
 
 use crate::problem::TilingObjective;
-use cme_core::{CacheSpec, CmeModel, Estimator, EvalEngine, SamplingConfig};
+use cme_core::{CacheSpec, CmeModel, EvalEngine, SamplingConfig};
 use cme_ga::Objective;
 use cme_loopnest::{LoopNest, MemoryLayout, TileSizes};
 
@@ -50,24 +50,22 @@ pub fn try_exhaustive_search(
     exhaustive_search_on(&engine, step, max_evals)
 }
 
-/// As [`try_exhaustive_search`] on a prebuilt scoring backend — every
-/// tile vector in the sweep borrows the same per-kernel analysis. A bare
-/// `&EvalEngine` coerces (the sampled CME backend); passing a
-/// [`cme_core::LatticeEstimator`] sweeps with closed-form counting.
+/// As [`try_exhaustive_search`] on a prebuilt engine — every tile vector
+/// in the sweep borrows the same per-kernel analysis.
 pub fn exhaustive_search_on(
-    estimator: &dyn Estimator,
+    engine: &EvalEngine,
     step: i64,
     max_evals: u64,
 ) -> Result<ExhaustiveResult, String> {
     if step < 1 {
         return Err(format!("exhaustive sweep stride must be ≥ 1, got {step}"));
     }
-    let spans = estimator.engine().nest().spans();
+    let spans = engine.nest().spans();
     let total: u64 = spans.iter().map(|&s| ((s + step - 1) / step) as u64).product();
     if total > max_evals {
         return Err(format!("exhaustive sweep of {total} tilings exceeds cap {max_evals}"));
     }
-    let objective = TilingObjective::new(estimator);
+    let objective = TilingObjective::new(engine);
     let mut landscape = Vec::with_capacity(total as usize);
     let mut tiles: Vec<i64> = vec![1; spans.len()];
     loop {

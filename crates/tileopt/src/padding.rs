@@ -192,10 +192,6 @@ impl PaddingOptimizer {
             sampling: self.sampling,
             ga: self.ga,
             provider: self.provider.clone(),
-            // Padding scoring is sampled-CME only (the padded-layout
-            // address remap lives in the sampling path), so the chained
-            // tiler stays on the same backend.
-            estimator: cme_core::EstimatorKind::Cme,
         };
         out.tiled = Some(tiler.optimize(nest, &padded_layout)?);
         Ok(out)

@@ -3,7 +3,7 @@
 use cme_analysis::rectangular_tiling_legality;
 use cme_core::engine::{fold_seed, SEED_SPLIT};
 use cme_core::{
-    CacheHierarchy, CacheSpec, Estimator, EstimatorKind, EvalEngine, MissEstimate, SamplingConfig,
+    CacheHierarchy, CacheSpec, Estimator, EvalEngine, MissEstimate, SamplingConfig,
     SharedDisplacements,
 };
 use cme_ga::{run_ga, Domain, GaConfig, GaResult, Objective};
@@ -12,17 +12,15 @@ use cme_loopnest::{LoopNest, MemoryLayout, TileSizes};
 use serde::{Deserialize, Serialize};
 
 /// Objective: estimated replacement misses of the nest tiled with the
-/// candidate tile vector (paper §3.1's function `f`), evaluated through a
-/// scoring backend behind the [`Estimator`] seam — the per-kernel analysis
-/// is computed once (in the backend's shared [`EvalEngine`]) and borrowed
+/// candidate tile vector (paper §3.1's function `f`) — the per-kernel
+/// analysis is computed once (in the shared [`EvalEngine`]) and borrowed
 /// by every GA individual.
 pub struct TilingObjective<'e> {
     pub estimator: &'e dyn Estimator,
 }
 
 impl<'e> TilingObjective<'e> {
-    /// Wrap a shared backend (one per search run). `&EvalEngine` coerces,
-    /// so callers holding a bare engine keep the sampled CME objective.
+    /// Wrap a shared engine (one per search run); `&EvalEngine` coerces.
     pub fn new(estimator: &'e dyn Estimator) -> Self {
         TilingObjective { estimator }
     }
@@ -30,7 +28,6 @@ impl<'e> TilingObjective<'e> {
     /// Full estimate for a tile vector (the identity tiling analyses the
     /// original nest). Seeded by folding the raw tile values into the
     /// base seed — trivial or not — so memoised costs are reproducible.
-    /// (Exact backends ignore the sampling seed.)
     pub fn estimate(&self, tiles: &TileSizes) -> MissEstimate {
         let engine = self.estimator.engine();
         let effective = (!tiles.is_trivial(engine.nest())).then_some(tiles);
@@ -123,9 +120,6 @@ pub struct TilingOptimizer {
     /// (wired in by the runtime layer; `None` keeps the search fully
     /// self-contained). Results are byte-identical either way.
     pub provider: Option<SharedDisplacements>,
-    /// Scoring backend the GA minimises (default: the sampled CME
-    /// classifier, which reproduces the paper byte-for-byte).
-    pub estimator: EstimatorKind,
 }
 
 impl TilingOptimizer {
@@ -141,7 +135,6 @@ impl TilingOptimizer {
             sampling: SamplingConfig::paper(),
             ga: GaConfig::default(),
             provider: None,
-            estimator: EstimatorKind::default(),
         }
     }
 
@@ -189,8 +182,7 @@ impl TilingOptimizer {
         if let TilingLegality::Illegal { reason } = rectangular_tiling_legality(nest) {
             return Err(format!("tiling `{}` is illegal: {reason}", nest.name));
         }
-        let backend = self.estimator.build(engine);
-        let objective = TilingObjective::new(backend.as_ref());
+        let objective = TilingObjective::new(engine);
         let domain = Domain::new(nest.spans());
         let ga = run_ga(&domain, &objective, &self.ga);
         let tiles = TileSizes(ga.best_values.clone());

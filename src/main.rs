@@ -5,7 +5,7 @@
 //! serialised form.
 
 use cme_suite::api::{
-    AnalyzeRequest, ApiError, BaselineKind, CompareRequest, EstimatorSpec, LintRequest, NestSource,
+    AnalyzeRequest, ApiError, BaselineKind, CompareRequest, LintRequest, NestSource,
     OptimizeRequest, Outcome, PaddingMode, Session, StrategySpec,
 };
 use cme_suite::cachesim::{simulate_nest, simulate_nest_hierarchy, CacheGeometry, LevelGeometry};
@@ -68,9 +68,6 @@ options:
   --tile-after                             pad: run tiling on the padded layout
   --joint                                  pad: joint padding+tiling GA
   --seed S                                 GA / sampling seed
-  --estimator cme | lattice                tile: scoring backend (default cme,
-                                           the paper's sampled classifier;
-                                           lattice = closed-form counting)
   --json                                   emit the serialised request outcome
   --sequential                             batch: disable parallel execution
   --addr HOST:PORT                         serve: bind address (default 127.0.0.1:7878)
@@ -123,7 +120,6 @@ struct Args {
     tile_after: bool,
     joint: bool,
     seed: u64,
-    estimator: Option<EstimatorSpec>,
     json: bool,
     sequential: bool,
     addr: Option<String>,
@@ -235,7 +231,6 @@ fn parse_args() -> Args {
         tile_after: false,
         joint: false,
         seed: 0xCE11,
-        estimator: None,
         json: false,
         sequential: false,
         addr: None,
@@ -273,11 +268,6 @@ fn parse_args() -> Args {
             "--seed" => {
                 let v = value_of("--seed", &mut it);
                 args.seed = v.parse().unwrap_or_else(|_| fail(format!("bad --seed value `{v}`")));
-            }
-            "--estimator" => {
-                let v = value_of("--estimator", &mut it);
-                args.estimator =
-                    Some(EstimatorSpec::parse(&v).unwrap_or_else(|e| fail(e.to_string())));
             }
             "--json" => args.json = true,
             "--sequential" => args.sequential = true,
@@ -349,13 +339,7 @@ impl Args {
     }
 
     fn optimize_request(&self, nest: NestSource, strategy: StrategySpec) -> OptimizeRequest {
-        let mut req = OptimizeRequest::new(nest, strategy)
-            .with_cache(self.cache.clone())
-            .with_seed(self.seed);
-        if let Some(est) = self.estimator {
-            req = req.with_estimator(est);
-        }
-        req
+        OptimizeRequest::new(nest, strategy).with_cache(self.cache.clone()).with_seed(self.seed)
     }
 
     fn session(&self) -> Session {

@@ -14,7 +14,8 @@
 //! * concurrent identical requests coalesce onto one computation and
 //!   every caller gets a byte-identical timing-stripped body;
 //! * keep-alive connections serve sequential requests;
-//! * malformed input gets a `400`, not a hung or dropped connection.
+//! * malformed input gets a `400`, not a hung or dropped connection;
+//! * the removed `lattice` estimator is a `400` on every route.
 
 use cme_suite::api::{Outcome, Session};
 use cme_suite::serve::{HttpClient, ServeConfig};
@@ -310,6 +311,26 @@ fn malformed_requests_get_400_and_oversized_bodies_413() {
     let (status, body) =
         raw_exchange(addr, b"POST /optimize HTTP/1.1\r\nContent-Length: 99999999\r\n\r\n");
     assert_eq!(status, 413, "{body}");
+
+    handle.shutdown_and_join();
+}
+
+/// The removed `lattice` estimator answers `400` on every route that
+/// embeds an optimize request, and the server keeps serving afterwards.
+#[test]
+fn lattice_estimator_answers_400_over_the_wire() {
+    let handle = start(1, 4);
+    let mut client = HttpClient::connect(handle.addr()).expect("connect");
+    let lattice = TINY.replacen('{', r#"{"estimator": "lattice","#, 1);
+    let compare = format!(r#"{{"base": {lattice}, "strategies": ["oblivious"]}}"#);
+    let batch = format!("[{lattice}]");
+    for (path, body) in [("/optimize", &lattice), ("/compare", &compare), ("/batch", &batch)] {
+        let (status, resp) = client.post(path, body).expect("response");
+        assert_eq!(status, 400, "{path}: {resp}");
+    }
+
+    let (status, body) = client.post("/optimize", TINY).expect("valid optimize");
+    assert_eq!(status, 200, "{body}");
 
     handle.shutdown_and_join();
 }
