@@ -30,10 +30,11 @@ fn bench_formhit(c: &mut Criterion) {
     let (form, bx, windows) = cache_query();
     c.bench_function("formhit/interval_hit/mm_scale_64sets", |b| {
         let mut budget = Budget::default();
+        let mut terms = Vec::new();
         b.iter(|| {
             let mut hits = 0;
             for w in &windows {
-                if interval_hit(black_box(&form), black_box(&bx), *w, &mut budget)
+                if interval_hit(black_box(&form), black_box(&bx), None, *w, &mut budget, &mut terms)
                     .as_conservative_bool()
                 {
                     hits += 1;
@@ -46,11 +47,19 @@ fn bench_formhit(c: &mut Criterion) {
     let (sform, sbx, swindows) = small_query();
     c.bench_function("formhit/interval_hit/small_16sets", |b| {
         let mut budget = Budget::default();
+        let mut terms = Vec::new();
         b.iter(|| {
             let mut hits = 0;
             for w in &swindows {
-                if interval_hit(black_box(&sform), black_box(&sbx), *w, &mut budget)
-                    .as_conservative_bool()
+                if interval_hit(
+                    black_box(&sform),
+                    black_box(&sbx),
+                    None,
+                    *w,
+                    &mut budget,
+                    &mut terms,
+                )
+                .as_conservative_bool()
                 {
                     hits += 1;
                 }

@@ -9,9 +9,13 @@
 //! * **engine** — the shared [`EvalEngine`]: per-kernel analysis computed
 //!   once, candidates borrow it (byte-identical results);
 //! * **engine_early_abandon** — the engine with the `SamplingConfig::
-//!   early_abandon` knob on and a rolling incumbent, the GA's actual
-//!   search regime (approximate costs for hopeless candidates,
-//!   deterministic, reported before/after estimates unaffected).
+//!   early_abandon` knob on and an incumbent frozen for the batch, the
+//!   GA's actual search regime (approximate costs for hopeless
+//!   candidates, deterministic, reported before/after estimates
+//!   unaffected).
+//!
+//! Each arm scores its candidates through one parallel batch, the way
+//! the GA scores a generation.
 //!
 //! Writes `BENCH_eval.json` (skipped with `--no-write`, the CI smoke
 //! mode). The candidate count is the first positional argument
@@ -33,6 +37,7 @@ use cme_core::{CacheSpec, CmeModel, EarlyAbandonConfig, EvalEngine, SamplingConf
 use cme_loopnest::{MemoryLayout, TileSizes};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use rayon::prelude::*;
 use std::time::Instant;
 
 struct Arm {
@@ -88,47 +93,49 @@ fn main() {
     let cands: Vec<Vec<i64>> =
         (0..n).map(|_| spans.iter().map(|&s| rng.gen_range(1..=s)).collect()).collect();
 
+    // Every arm scores its candidates as one order-preserving parallel
+    // batch, as a GA generation does, and sums the costs in candidate
+    // order so the sums are bit-reproducible.
+
     // Pre-PR path: from-scratch analysis per candidate. The old
     // `analyze` built the explicit reuse candidates eagerly; force the
     // (now lazy) lift to reproduce its cost faithfully.
     let t0 = Instant::now();
-    let mut check_scratch = 0.0f64;
-    for v in &cands {
-        let tiles = TileSizes(v.clone());
-        let eff = (!tiles.is_trivial(&nest)).then_some(&tiles);
-        let an = model.analyze(&nest, &layout, eff);
-        std::hint::black_box(an.candidates().len());
-        let h = fold_seed(seed ^ SEED_SPLIT, v);
-        check_scratch += an.estimate(&sampling, h).replacement_misses();
-    }
+    let scratch_costs: Vec<f64> = cands
+        .par_iter()
+        .map(|v| {
+            let tiles = TileSizes(v.clone());
+            let eff = (!tiles.is_trivial(&nest)).then_some(&tiles);
+            let an = model.analyze(&nest, &layout, eff);
+            std::hint::black_box(an.candidates().len());
+            let h = fold_seed(seed ^ SEED_SPLIT, v);
+            an.estimate(&sampling, h).replacement_misses()
+        })
+        .collect();
     let scratch = Arm { label: "from_scratch", evals: n, wall_s: t0.elapsed().as_secs_f64() };
 
     // Engine path (identical costs, shared analysis).
     let t0 = Instant::now();
     let engine = EvalEngine::new(model, &nest, &layout, sampling, seed);
-    let mut check_engine = 0.0f64;
-    for v in &cands {
-        check_engine += engine.cost(v, None);
-    }
+    let engine_costs: Vec<f64> = cands.par_iter().map(|v| engine.cost(v, None)).collect();
     let engined = Arm { label: "engine", evals: n, wall_s: t0.elapsed().as_secs_f64() };
+    let check_scratch: f64 = scratch_costs.iter().sum();
+    let check_engine: f64 = engine_costs.iter().sum();
     assert_eq!(
         check_scratch.to_bits(),
         check_engine.to_bits(),
         "engine must be byte-identical to the from-scratch path"
     );
 
-    // Engine + early abandonment with a rolling incumbent (frozen
-    // per-candidate here; the GA freezes it per generation).
+    // Engine + early abandonment. The GA freezes its incumbent per
+    // generation; here the whole batch is one generation whose incumbent
+    // is the best full cost among the candidates.
+    let incumbent = engine_costs.iter().copied().reduce(f64::min);
     let abandoning = sampling.with_early_abandon(EarlyAbandonConfig { check_every: 32 });
     let t0 = Instant::now();
     let engine_ea = EvalEngine::new(model, &nest, &layout, abandoning, seed);
-    let mut incumbent: Option<f64> = None;
-    for v in &cands {
-        let c = engine_ea.cost(v, incumbent);
-        if incumbent.is_none_or(|b| c < b) {
-            incumbent = Some(c);
-        }
-    }
+    let abandon_costs: Vec<f64> = cands.par_iter().map(|v| engine_ea.cost(v, incumbent)).collect();
+    std::hint::black_box(abandon_costs);
     let abandon =
         Arm { label: "engine_early_abandon", evals: n, wall_s: t0.elapsed().as_secs_f64() };
 

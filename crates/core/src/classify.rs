@@ -19,69 +19,87 @@ pub enum Classification {
 
 /// Classify reference `ref_a` at analysis point `v0`.
 ///
-/// Finds the most recent preceding access to the same memory line —
-/// within the current iteration by direct scan over earlier body
-/// references (any array), across iterations by the exact lexmax search
-/// over uniformly generated references — then decides hit vs. replacement
-/// with a single interference query (older sources see a superset of the
-/// interference, so the most recent one is decisive). No source ⇒ cold.
+/// Finds the most recent preceding access to the same memory line (see
+/// [`most_recent_source`]), then decides hit vs. replacement with a single
+/// interference query (older sources see a superset of the interference,
+/// so the most recent one is decisive). No source ⇒ cold.
 pub fn classify_point(
     an: &NestAnalysis,
     engine: &mut InterferenceEngine,
     v0: &[i64],
     ref_a: usize,
 ) -> Classification {
-    let addr0 = an.addr[ref_a].eval(v0);
-    let l0 = engine.cache.line_of(addr0);
-    // Intra-iteration sources: most recent earlier body position first.
-    for pos in (0..ref_a).rev() {
-        if engine.cache.line_of(an.addr[pos].eval(v0)) == l0 {
-            return finish(an, engine, v0, pos, v0, ref_a, l0);
-        }
-    }
-    // Cross-iteration sources: deepest divergence level = most recent.
-    let window = Interval::new(l0 * engine.cache.line, (l0 + 1) * engine.cache.line - 1);
-    for s in (0..v0.len()).rev() {
-        let mut best: Option<(Vec<i64>, usize)> = None;
-        for &b in &an.uniform_sources[ref_a] {
-            let Some(j) = lexmax_at_level(&an.space, &an.addr[b], &an.suffix[b], v0, window, s)
-            else {
-                continue;
-            };
-            let better = match &best {
-                None => true,
-                Some((bj, bpos)) => match lex_cmp(&j, bj) {
-                    std::cmp::Ordering::Greater => true,
-                    std::cmp::Ordering::Equal => b > *bpos,
-                    std::cmp::Ordering::Less => false,
-                },
-            };
-            if better {
-                best = Some((j, b));
-            }
-        }
-        if let Some((j, pos)) = best {
-            return finish(an, engine, &j, pos, v0, ref_a, l0);
-        }
-    }
-    Classification::Cold
-}
-
-#[allow(clippy::too_many_arguments)]
-fn finish(
-    an: &NestAnalysis,
-    engine: &mut InterferenceEngine,
-    v_src: &[i64],
-    src_pos: usize,
-    v_cur: &[i64],
-    cur_pos: usize,
-    l0: i64,
-) -> Classification {
-    if engine.blocks_reuse(&an.space, &an.addr, v_src, src_pos, v_cur, cur_pos, l0) {
+    let l0 = engine.cache.line_of(an.addr[ref_a].eval(v0));
+    let Some(src_pos) = most_recent_source(an, engine, v0, ref_a, l0) else {
+        return Classification::Cold;
+    };
+    // Lend the source point out of the engine for the interference query
+    // (a move: the buffer keeps its allocation).
+    let src = std::mem::take(&mut engine.source);
+    let blocked = engine.blocks_reuse(&an.space, &an.addr, &src, src_pos, v0, ref_a, l0);
+    engine.source = src;
+    if blocked {
         Classification::Replacement
     } else {
         Classification::Hit
     }
+}
+
+/// The most recent access preceding `(v0, ref_a)` that touches line `l0`:
+/// within the current iteration by direct scan over earlier body
+/// references (any array), across iterations by the exact lexmax search
+/// over uniformly generated references, deepest divergence level first.
+/// Returns the source's body position and leaves its point in
+/// `engine.source`; `None` when no access precedes (a cold miss).
+pub(crate) fn most_recent_source(
+    an: &NestAnalysis,
+    engine: &mut InterferenceEngine,
+    v0: &[i64],
+    ref_a: usize,
+    l0: i64,
+) -> Option<usize> {
+    // Intra-iteration sources: most recent earlier body position first.
+    if let Some(pos) =
+        (0..ref_a).rev().find(|&pos| engine.cache.line_of(an.addr[pos].eval(v0)) == l0)
+    {
+        engine.source.clear();
+        engine.source.extend_from_slice(v0);
+        return Some(pos);
+    }
+    // Cross-iteration sources: deepest divergence level = most recent.
+    let window = Interval::new(l0 * engine.cache.line, (l0 + 1) * engine.cache.line - 1);
+    for s in (0..v0.len()).rev() {
+        let mut best: Option<usize> = None;
+        for &b in &an.uniform_sources[ref_a] {
+            if !lexmax_at_level(
+                &an.space,
+                &an.addr[b],
+                &an.suffix[b],
+                v0,
+                window,
+                s,
+                &mut engine.candidate,
+            ) {
+                continue;
+            }
+            let better = match best {
+                None => true,
+                Some(bpos) => match lex_cmp(&engine.candidate, &engine.source) {
+                    std::cmp::Ordering::Greater => true,
+                    std::cmp::Ordering::Equal => b > bpos,
+                    std::cmp::Ordering::Less => false,
+                },
+            };
+            if better {
+                std::mem::swap(&mut engine.candidate, &mut engine.source);
+                best = Some(b);
+            }
+        }
+        if best.is_some() {
+            return best;
+        }
+    }
+    None
 }
 
 #[cfg(test)]

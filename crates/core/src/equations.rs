@@ -16,14 +16,14 @@
 //! 3. **Point counting** — tiny spaces can count equation solutions
 //!    exactly.
 
-use crate::classify::Classification;
+use crate::classify::{most_recent_source, Classification};
 use crate::model::NestAnalysis;
 use crate::reuse::ReuseCandidate;
 use cme_polyhedra::boxes::lex_cmp;
 use cme_polyhedra::dioph::{div_ceil, div_floor};
 use cme_polyhedra::lex::between_open;
 use cme_polyhedra::polyhedron::{Constraint, Polyhedron};
-use cme_polyhedra::{AffineForm, Interval};
+use cme_polyhedra::{AffineForm, IntBox, Interval};
 
 /// A compulsory equation: along reuse candidate `cand`, points of region
 /// `region` whose source falls outside the iteration space are potential
@@ -109,14 +109,12 @@ impl ReplacementEq {
         let window = Interval::new(s0 * cache.line, s0 * cache.line + cache.line - 1);
         let mut out = Vec::new();
         let form = &an.addr[self.interferer];
+        let mut bx = IntBox::new(Vec::new());
         for piece in between_open(&src, v0) {
             // The interfering iterations of *this* equation are those in
             // `j_region`; interference in other regions is covered by the
             // sibling equations of the (cur_region, j_region) family.
-            let Some(bx) = piece.clip_to_box(&an.space.regions[self.j_region].vbox) else {
-                continue;
-            };
-            if bx.is_empty() {
+            if !piece.clip_to_box(&an.space.regions[self.j_region].vbox, &mut bx) || bx.is_empty() {
                 continue;
             }
             let range = form.range_over(&bx);
@@ -150,8 +148,8 @@ impl ReplacementEq {
 }
 
 /// Classify a point using the explicit polyhedron machinery end to end —
-/// the slow, paper-literal path. The reuse source is located with the
-/// same exact lexmax search as the fast classifier; the interference test
+/// the slow, paper-literal path. The reuse source is located by the fast
+/// classifier's own most-recent-source search; the interference test
 /// then builds the replacement polyhedra concretely and decides emptiness
 /// with the generic [`Polyhedron`] solver (direct-mapped caches).
 pub fn classify_explicit(
@@ -161,47 +159,12 @@ pub fn classify_explicit(
     subject: usize,
 ) -> Classification {
     assert_eq!(an.cache.assoc, 1, "the explicit path models direct-mapped caches");
-    let cache = an.cache;
-    let addr0 = an.addr[subject].eval(v0);
-    let l0 = cache.line_of(addr0);
-    // Intra-iteration sources.
-    for pos in (0..subject).rev() {
-        if cache.line_of(an.addr[pos].eval(v0)) == l0 {
-            return explicit_verdict(an, v0, pos, v0, subject, l0);
-        }
+    let l0 = an.cache.line_of(an.addr[subject].eval(v0));
+    let mut engine = an.engine();
+    match most_recent_source(an, &mut engine, v0, subject, l0) {
+        Some(pos) => explicit_verdict(an, &engine.source, pos, v0, subject, l0),
+        None => Classification::Cold,
     }
-    // Cross-iteration sources via the shared lexmax search.
-    let window = Interval::new(l0 * cache.line, (l0 + 1) * cache.line - 1);
-    for s in (0..v0.len()).rev() {
-        let mut best: Option<(Vec<i64>, usize)> = None;
-        for &b in &an.uniform_sources[subject] {
-            let Some(j) = crate::lexmax::lexmax_at_level(
-                &an.space,
-                &an.addr[b],
-                &an.suffix[b],
-                v0,
-                window,
-                s,
-            ) else {
-                continue;
-            };
-            let better = match &best {
-                None => true,
-                Some((bj, bpos)) => match lex_cmp(&j, bj) {
-                    std::cmp::Ordering::Greater => true,
-                    std::cmp::Ordering::Equal => b > *bpos,
-                    std::cmp::Ordering::Less => false,
-                },
-            };
-            if better {
-                best = Some((j, b));
-            }
-        }
-        if let Some((j, pos)) = best {
-            return explicit_verdict(an, &j, pos, v0, subject, l0);
-        }
-    }
-    Classification::Cold
 }
 
 fn explicit_verdict(
@@ -230,10 +193,10 @@ fn explicit_between_conflict(an: &NestAnalysis, src: &[i64], v0: &[i64], l0: i64
     let way = cache.sets() * cache.line;
     let window = Interval::new(s0 * cache.line, s0 * cache.line + cache.line - 1);
     let m = an.space.n_v;
+    let mut bx = IntBox::new(Vec::new());
     for piece in between_open(src, v0) {
         for region in &an.space.regions {
-            let Some(bx) = piece.clip_to_box(&region.vbox) else { continue };
-            if bx.is_empty() {
+            if !piece.clip_to_box(&region.vbox, &mut bx) || bx.is_empty() {
                 continue;
             }
             for form in &an.addr {
@@ -293,9 +256,9 @@ fn endpoint_conflict(
     }
 }
 
-fn bounding_box(p: &Polyhedron) -> cme_polyhedra::IntBox {
+fn bounding_box(p: &Polyhedron) -> IntBox {
     // Conservative start box; constraints tighten it during propagation.
-    cme_polyhedra::IntBox::new(vec![Interval::new(-(1 << 40), 1 << 40); p.n_vars])
+    IntBox::new(vec![Interval::new(-(1 << 40), 1 << 40); p.n_vars])
 }
 
 #[cfg(test)]

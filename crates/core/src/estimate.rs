@@ -5,7 +5,6 @@ use crate::model::NestAnalysis;
 use crate::sampling::SamplingConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Exact per-reference counts (exhaustive analysis).
@@ -401,9 +400,10 @@ pub fn exhaustive(an: &NestAnalysis) -> MissReport {
 /// Sampled estimate with the given configuration and RNG seed.
 ///
 /// Sampling is simple random sampling *without replacement* over the
-/// global point ranks; classification of the sampled points is
-/// Rayon-parallel (deterministic: the sample set depends only on the
-/// seed, and counts are integer sums).
+/// global point ranks (deterministic: the sample set depends only on the
+/// seed). The sample is classified sequentially on one interference
+/// engine — callers parallelise across candidates instead, so one
+/// estimate never spawns threads of its own.
 pub fn sampled(an: &NestAnalysis, cfg: &SamplingConfig, seed: u64) -> MissEstimate {
     // Exact iteration count: hull volume for rectangular spaces, the
     // triangular shape's count otherwise (the hull rank bijection is
@@ -431,33 +431,15 @@ pub fn sampled(an: &NestAnalysis, cfg: &SamplingConfig, seed: u64) -> MissEstima
         };
     }
     let ranks = draw_space_ranks(&an.space, want, seed);
-    let n_refs = an.addr.len();
-    let (counts, solver) = ranks
-        .par_chunks(16.max(ranks.len() / 64))
-        .map(|chunk| {
-            let mut engine = an.engine();
-            let mut per_ref = vec![Counts::default(); n_refs];
-            for &rank in chunk {
-                let v = an.space.point_at_global_rank(rank);
-                for r in 0..n_refs {
-                    per_ref[r].add(classify_point(an, &mut engine, &v, r));
-                }
-            }
-            (per_ref, an.stats_of(&engine))
-        })
-        .reduce(
-            || (vec![Counts::default(); n_refs], SolverStats::default()),
-            |(mut a, mut sa), (b, sb)| {
-                for (x, y) in a.iter_mut().zip(&b) {
-                    x.merge(y);
-                }
-                sa.queries += sb.queries;
-                sa.fallbacks += sb.fallbacks;
-                sa.nodes += sb.nodes;
-                sa.assoc_fallbacks += sb.assoc_fallbacks;
-                (a, sa)
-            },
-        );
+    let mut engine = an.engine();
+    let mut counts = vec![Counts::default(); an.addr.len()];
+    for &rank in &ranks {
+        let v = an.space.point_at_global_rank(rank);
+        for (r, c) in counts.iter_mut().enumerate() {
+            c.add(classify_point(an, &mut engine, &v, r));
+        }
+    }
+    let solver = an.stats_of(&engine);
     let n = want;
     let per_ref = counts
         .iter()

@@ -23,7 +23,10 @@ use cme_polyhedra::formhit::{interval_hit, Budget};
 use cme_polyhedra::lex::between_open;
 use cme_polyhedra::{AffineForm, IntBox, Interval};
 
-/// Per-thread interference engine: owns the solver budget and statistics.
+/// Per-thread interference engine: owns the solver budget, statistics
+/// and the scratch buffers of the classification kernel. The buffers grow
+/// to the largest query seen and are then reused, so classifying with a
+/// warm engine allocates nothing.
 pub struct InterferenceEngine {
     pub cache: CacheSpec,
     pub budget: Budget,
@@ -33,6 +36,16 @@ pub struct InterferenceEngine {
     pub line_enum_cap: i64,
     /// Conservative outcomes taken due to the enumeration cap.
     pub assoc_fallbacks: u64,
+    /// Distinct conflicting lines seen by the current check.
+    lines: Vec<i64>,
+    /// The current lexicographic piece clipped to a region.
+    clipped: IntBox,
+    /// Normalised solver terms.
+    terms: Vec<(i64, i64)>,
+    /// Most-recent-source search: the latest probe and the best source
+    /// found so far (see `classify::most_recent_source`).
+    pub(crate) candidate: Vec<i64>,
+    pub(crate) source: Vec<i64>,
 }
 
 impl InterferenceEngine {
@@ -42,6 +55,11 @@ impl InterferenceEngine {
             budget: Budget::new(solver_nodes),
             line_enum_cap: 4096,
             assoc_fallbacks: 0,
+            lines: Vec::new(),
+            clipped: IntBox::new(Vec::new()),
+            terms: Vec::new(),
+            candidate: Vec::new(),
+            source: Vec::new(),
         }
     }
 
@@ -63,7 +81,7 @@ impl InterferenceEngine {
         let s0 = self.cache.set_of_line(l0);
         let assoc = self.cache.assoc;
         // Distinct conflicting lines seen so far (assoc is small).
-        let mut lines: Vec<i64> = Vec::with_capacity(assoc as usize);
+        self.lines.clear();
         let note_line = |lines: &mut Vec<i64>, l: i64| -> bool {
             if !lines.contains(&l) {
                 lines.push(l);
@@ -82,7 +100,7 @@ impl InterferenceEngine {
             for r in range.clone() {
                 let a = addr[r].eval(v);
                 let l = self.cache.line_of(a);
-                if l != l0 && self.cache.set_of_line(l) == s0 && note_line(&mut lines, l) {
+                if l != l0 && self.cache.set_of_line(l) == s0 && note_line(&mut self.lines, l) {
                     return true;
                 }
             }
@@ -96,24 +114,20 @@ impl InterferenceEngine {
         let window =
             Interval::new(s0 * self.cache.line, s0 * self.cache.line + self.cache.line - 1);
         let n0 = l0.div_euclid(self.cache.sets());
-        let pieces = between_open(v_src, v_cur);
-        for piece in &pieces {
+        for piece in between_open(v_src, v_cur) {
             for region in &space.regions {
-                let Some(bx) = piece.clip_to_box(&region.vbox) else {
-                    continue;
-                };
-                if bx.is_empty() {
+                if !piece.clip_to_box(&region.vbox, &mut self.clipped) || self.clipped.is_empty() {
                     continue;
                 }
                 // Triangular spaces: drop or tighten pieces against the
                 // shape constraints (no-op on rectangular spaces). The
                 // residual over-approximation only errs towards blocked
                 // reuse — conservative, never optimistic.
-                let Some(bx) = space.refine_box(bx) else {
+                if !space.refine_box(&mut self.clipped.dims) {
                     continue;
-                };
+                }
                 for form in addr {
-                    let range = form.range_over(&bx);
+                    let range = form.range_over(&self.clipped);
                     // n values for which some address in range can fall in
                     // the window: addr − n·m ∈ window.
                     let n_min = div_ceil(range.lo - window.hi, m);
@@ -130,7 +144,7 @@ impl InterferenceEngine {
                             if n_iv.is_empty() {
                                 continue;
                             }
-                            if self.piece_hits(form, &bx, n_iv, m, window) {
+                            if self.piece_hits(form, n_iv, m, window) {
                                 return true;
                             }
                         }
@@ -145,11 +159,11 @@ impl InterferenceEngine {
                                 continue;
                             }
                             let l = n * self.cache.sets() + s0;
-                            if lines.contains(&l) {
+                            if self.lines.contains(&l) {
                                 continue;
                             }
-                            if self.piece_hits(form, &bx, Interval::point(n), m, window)
-                                && note_line(&mut lines, l)
+                            if self.piece_hits(form, Interval::point(n), m, window)
+                                && note_line(&mut self.lines, l)
                             {
                                 return true;
                             }
@@ -161,23 +175,18 @@ impl InterferenceEngine {
         false
     }
 
-    /// `∃ j ∈ bx, n ∈ n_iv : form(j) − n·m ∈ window` via the interval-hit
-    /// solver with `n` as an extra variable.
-    fn piece_hits(
-        &mut self,
-        form: &AffineForm,
-        bx: &IntBox,
-        n_iv: Interval,
-        m: i64,
-        window: Interval,
-    ) -> bool {
-        let mut coeffs = form.coeffs.clone();
-        coeffs.push(-m);
-        let ext_form = AffineForm::new(coeffs, form.c0);
-        let mut dims = bx.dims.clone();
-        dims.push(n_iv);
-        let ext_box = IntBox::new(dims);
-        interval_hit(&ext_form, &ext_box, window, &mut self.budget).as_conservative_bool()
+    /// `∃ j ∈ clipped, n ∈ n_iv : form(j) − n·m ∈ window` via the
+    /// interval-hit solver with `n` as its extra variable.
+    fn piece_hits(&mut self, form: &AffineForm, n_iv: Interval, m: i64, window: Interval) -> bool {
+        interval_hit(
+            form,
+            &self.clipped,
+            Some((-m, n_iv)),
+            window,
+            &mut self.budget,
+            &mut self.terms,
+        )
+        .as_conservative_bool()
     }
 }
 

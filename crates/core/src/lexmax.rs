@@ -50,8 +50,9 @@ impl SuffixRanges {
 const PROBES: u32 = 4096;
 
 /// Search the most recent `j ≺ v0` with `form(j) ∈ window`, diverging
-/// from `v0` exactly at coordinate `s`. Returns the full coordinate
-/// vector, or `None`.
+/// from `v0` exactly at coordinate `s`. On success writes the full
+/// coordinate vector into `j` (a caller buffer, overwritten either way)
+/// and returns `true`.
 pub fn lexmax_at_level(
     space: &ExecSpace,
     form: &AffineForm,
@@ -59,22 +60,20 @@ pub fn lexmax_at_level(
     v0: &[i64],
     window: Interval,
     s: usize,
-) -> Option<Vec<i64>> {
-    let _m = v0.len();
-    let mut j = v0.to_vec();
+    j: &mut Vec<i64>,
+) -> bool {
+    j.clear();
+    j.extend_from_slice(v0);
     // Target for Σ_{t ≥ s} c_t j_t.
     let mut target = window.shift(-form.c0);
     for t in 0..s {
         target = target.shift(-form.coeffs[t] * v0[t]);
     }
     let mut probes = PROBES;
-    if resolve(space, form, suffix, &mut j, s, target, Some(v0[s] - 1), &mut probes) {
-        debug_assert!(space.contains_v(&j), "resolved source must lie in the space");
-        debug_assert!(window.contains(form.eval(&j)), "resolved source must hit the window");
-        Some(j)
-    } else {
-        None
-    }
+    let found = resolve(space, form, suffix, j, s, target, Some(v0[s] - 1), &mut probes);
+    debug_assert!(!found || space.contains_v(j), "resolved source must lie in the space");
+    debug_assert!(!found || window.contains(form.eval(j)), "resolved source must hit the window");
+    found
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -82,7 +81,7 @@ fn resolve(
     space: &ExecSpace,
     form: &AffineForm,
     suffix: &SuffixRanges,
-    j: &mut Vec<i64>,
+    j: &mut [i64],
     t: usize,
     target: Interval,
     clamp_hi: Option<i64>,
@@ -157,12 +156,11 @@ mod tests {
         window: Interval,
     ) -> Option<Vec<i64>> {
         let suffix = SuffixRanges::of(form, &space.relaxed_dims());
-        for s in (0..v0.len()).rev() {
-            if let Some(j) = lexmax_at_level(space, form, &suffix, v0, window, s) {
-                return Some(j);
-            }
-        }
-        None
+        let mut j = Vec::new();
+        (0..v0.len())
+            .rev()
+            .find(|&s| lexmax_at_level(space, form, &suffix, v0, window, s, &mut j))?;
+        Some(j)
     }
 
     #[test]

@@ -342,10 +342,16 @@ impl ExecSpace {
                 let mut iv = self.regions[0].vbox.dims[t];
                 if let Some(s) = &self.shape {
                     if let Some(f) = &s.lo_forms[t] {
-                        iv = iv.intersect(&Interval::new(eval_prefix(f, prefix), iv.hi));
+                        iv = iv.intersect(&Interval::new(
+                            eval_prefix(f, prefix.iter().copied()),
+                            iv.hi,
+                        ));
                     }
                     if let Some(f) = &s.hi_forms[t] {
-                        iv = iv.intersect(&Interval::new(iv.lo, eval_prefix(f, prefix)));
+                        iv = iv.intersect(&Interval::new(
+                            iv.lo,
+                            eval_prefix(f, prefix.iter().copied()),
+                        ));
                     }
                 }
                 iv
@@ -367,16 +373,15 @@ impl ExecSpace {
                             // prefix), then translate the original-space
                             // bound into offset coordinates:
                             // u_q = i_q − lo_q − T_q·b_q.
-                            let orig: Vec<i64> = (0..q)
-                                .map(|p| self.los[p] + tiles.0[p] * prefix[p] + prefix[d + p])
-                                .collect();
+                            let orig = (0..q)
+                                .map(|p| self.los[p] + tiles.0[p] * prefix[p] + prefix[d + p]);
                             let base = self.los[q] + tiles.0[q] * b;
                             if let Some(f) = &s.lo_forms[q] {
-                                let lo_u = eval_prefix(f, &orig) - base;
+                                let lo_u = eval_prefix(f, orig.clone()) - base;
                                 iv = iv.intersect(&Interval::new(lo_u, iv.hi));
                             }
                             if let Some(f) = &s.hi_forms[q] {
-                                let hi_u = eval_prefix(f, &orig) - base;
+                                let hi_u = eval_prefix(f, orig) - base;
                                 iv = iv.intersect(&Interval::new(iv.lo, hi_u));
                             }
                         }
@@ -387,32 +392,33 @@ impl ExecSpace {
         }
     }
 
-    /// Restrict a box in analysis coordinates by the shape constraints
-    /// (interval propagation, one pass per constraint): `None` when the
-    /// box provably holds no shape point, otherwise a box at most as
-    /// large. Rectangular spaces return the box unchanged; the result is
-    /// always a superset of `bx ∩ shape`, so box-based solvers stay
-    /// conservative, just tighter.
-    pub fn refine_box(&self, bx: IntBox) -> Option<IntBox> {
-        let Some(s) = &self.shape else { return Some(bx) };
-        let mut bx = bx;
+    /// Restrict the dimensions of a box in analysis coordinates by the
+    /// shape constraints, in place (interval propagation, one pass per
+    /// constraint). Returns `false` when the box provably holds no shape
+    /// point — `dims` is then partially tightened and meaningless —
+    /// otherwise `true` with `dims` at most as large as before.
+    /// Rectangular spaces leave `dims` untouched; the result is always a
+    /// superset of `box ∩ shape`, so box-based solvers stay conservative,
+    /// just tighter.
+    pub fn refine_box(&self, dims: &mut [Interval]) -> bool {
+        let Some(s) = &self.shape else { return true };
         for g in &s.constraints {
             // Feasibility: the max of g over the box must reach 0.
             let mut max: i128 = g.c0 as i128;
-            for (c, iv) in g.coeffs.iter().zip(&bx.dims) {
+            for (c, iv) in g.coeffs.iter().zip(dims.iter()) {
                 let (a, b) = ((*c as i128) * (iv.lo as i128), (*c as i128) * (iv.hi as i128));
                 max += a.max(b);
             }
             if max < 0 {
-                return None;
+                return false;
             }
             // Tighten each involved dimension: c·x ≥ −(max of the rest).
-            for t in 0..bx.dims.len() {
+            for t in 0..dims.len() {
                 let c = g.coeffs[t];
                 if c == 0 {
                     continue;
                 }
-                let iv = bx.dims[t];
+                let iv = dims[t];
                 let rest = max - (c as i128) * (if c > 0 { iv.hi } else { iv.lo }) as i128;
                 let tightened = if c > 0 {
                     // x ≥ ceil(−rest / c)
@@ -425,12 +431,12 @@ impl ExecSpace {
                     Interval::new(iv.lo, clamp_i64(hi).min(iv.hi))
                 };
                 if tightened.is_empty() {
-                    return None;
+                    return false;
                 }
-                bx.dims[t] = tightened;
+                dims[t] = tightened;
             }
         }
-        Some(bx)
+        true
     }
 
     /// Visit every point in *execution order* (lexicographic on analysis
@@ -478,13 +484,13 @@ impl ExecSpace {
     }
 }
 
-/// Evaluate an affine form whose nonzero coefficients all lie below
-/// `prefix.len()` (the bound-validation invariant: a loop's bound only
-/// references outer loops).
-fn eval_prefix(f: &AffineForm, prefix: &[i64]) -> i64 {
+/// Evaluate an affine form whose nonzero coefficients all lie within the
+/// prefix values given (the bound-validation invariant: a loop's bound
+/// only references outer loops).
+fn eval_prefix(f: &AffineForm, prefix: impl IntoIterator<Item = i64>) -> i64 {
     let mut acc = f.c0 as i128;
     for (c, v) in f.coeffs.iter().zip(prefix) {
-        acc += (*c as i128) * (*v as i128);
+        acc += (*c as i128) * (v as i128);
     }
     i64::try_from(acc).expect("bound eval overflow")
 }
@@ -707,16 +713,17 @@ mod tests {
         let n = tri_nest(4);
         let s = ExecSpace::untiled(&n);
         // Box entirely above the diagonal: infeasible.
-        let above = IntBox::new(vec![Interval::new(1, 2), Interval::new(3, 4)]);
-        assert_eq!(s.refine_box(above), None);
+        let mut above = [Interval::new(1, 2), Interval::new(3, 4)];
+        assert!(!s.refine_box(&mut above));
         // Straddling box: j clamps to ≤ max i.
-        let wide = IntBox::new(vec![Interval::new(1, 2), Interval::new(1, 4)]);
-        let refined = s.refine_box(wide).unwrap();
-        assert_eq!(refined.dims[1], Interval::new(1, 2));
+        let mut wide = [Interval::new(1, 2), Interval::new(1, 4)];
+        assert!(s.refine_box(&mut wide));
+        assert_eq!(wide[1], Interval::new(1, 2));
         // Rectangular spaces pass boxes through untouched.
         let r = ExecSpace::untiled(&nest(&[4, 4]));
-        let b = IntBox::new(vec![Interval::new(1, 2), Interval::new(3, 4)]);
-        assert_eq!(r.refine_box(b.clone()), Some(b));
+        let mut b = [Interval::new(1, 2), Interval::new(3, 4)];
+        assert!(r.refine_box(&mut b));
+        assert_eq!(b, [Interval::new(1, 2), Interval::new(3, 4)]);
     }
 
     #[test]

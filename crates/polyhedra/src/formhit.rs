@@ -4,8 +4,9 @@
 //! This single predicate answers every CME replacement-equation emptiness
 //! question (see `cme-core::interference`): "is there an iteration in this
 //! piece of the reuse interval whose access falls into a given cache-set
-//! byte window?" — the wrap-around cache variable is simply one more box
-//! variable with a negative coefficient.
+//! byte window?" — the wrap-around cache variable is simply one more
+//! variable with a negative coefficient, passed as [`interval_hit`]'s extra
+//! term.
 //!
 //! The solver is exact (YES and NO answers are both certain) except when a
 //! branch-and-bound node budget is exhausted, in which case it returns
@@ -103,39 +104,41 @@ impl Default for Budget {
     }
 }
 
-/// Normalised query state: positive coefficients over `[0, R_t]` ranges.
-#[derive(Debug, Clone)]
-struct Norm {
-    /// (coefficient, range) pairs, coefficient > 0, range ≥ 1 values.
-    terms: Vec<(i64, i64)>,
-    /// Window for `Σ c_t · y_t` (already offset by the constant term).
+/// Normalise a query into `terms` (cleared first): every variable is
+/// shifted to `[0, R_t]` and negative coefficients are reflected, leaving
+/// `(coefficient > 0, range R_t ≥ 1)` pairs in variable order, `extra`
+/// last. Returns the window for `Σ c_t · y_t` (already offset by the
+/// constant term), or `None` when the box or window is empty.
+fn normalize(
+    form: &AffineForm,
+    b: &IntBox,
+    extra: Option<(i64, Interval)>,
     window: Interval,
-}
-
-fn normalize(form: &AffineForm, b: &IntBox, window: Interval) -> Option<Norm> {
-    if b.is_empty() || window.is_empty() {
+    terms: &mut Vec<(i64, i64)>,
+) -> Option<Interval> {
+    terms.clear();
+    if b.is_empty() || extra.is_some_and(|(_, iv)| iv.is_empty()) || window.is_empty() {
         return None;
     }
     let mut c0 = form.c0 as i128;
-    let mut terms = Vec::with_capacity(form.coeffs.len());
-    for (c, iv) in form.coeffs.iter().zip(&b.dims) {
+    for (c, iv) in form.coeffs.iter().zip(&b.dims).map(|(c, iv)| (*c, *iv)).chain(extra) {
         let r = iv.len() as i128 - 1;
-        if *c == 0 || r == 0 {
-            c0 += (*c as i128) * (iv.lo as i128);
+        if c == 0 || r == 0 {
+            c0 += (c as i128) * (iv.lo as i128);
             continue;
         }
-        if *c > 0 {
-            c0 += (*c as i128) * (iv.lo as i128);
-            terms.push((*c, r as i64));
+        if c > 0 {
+            c0 += (c as i128) * (iv.lo as i128);
+            terms.push((c, r as i64));
         } else {
             // Reflect: x = hi - y  =>  c·x = c·hi + (-c)·y.
-            c0 += (*c as i128) * (iv.hi as i128);
-            terms.push((-*c, r as i64));
+            c0 += (c as i128) * (iv.hi as i128);
+            terms.push((-c, r as i64));
         }
     }
     let lo = (window.lo as i128 - c0).clamp(i64::MIN as i128, i64::MAX as i128) as i64;
     let hi = (window.hi as i128 - c0).clamp(i64::MIN as i128, i64::MAX as i128) as i64;
-    Some(Norm { terms, window: Interval::new(lo, hi) })
+    Some(Interval::new(lo, hi))
 }
 
 /// Max-gap bound for the reachable set of `Σ c_t·y_t` with coefficients
@@ -153,7 +156,17 @@ fn hull_and_gap(terms_sorted_asc: &[(i64, i64)]) -> (i128, i128) {
     (w, gap)
 }
 
-fn solve_norm(mut terms: Vec<(i64, i64)>, window: Interval, budget: &mut Budget) -> HitResult {
+/// Decide the normalised query whose terms are `buf[start..]` — always
+/// the buffer's tail. The terms are reduced and sorted in place; a branch
+/// copies the remaining terms to the tail for each sub-query and truncates
+/// them away again, so the buffer ends as long as it started.
+fn solve_norm(
+    buf: &mut Vec<(i64, i64)>,
+    start: usize,
+    window: Interval,
+    budget: &mut Budget,
+) -> HitResult {
+    let terms = &mut buf[start..];
     // Constant case.
     if terms.is_empty() {
         return if window.contains(0) { HitResult::Yes } else { HitResult::No };
@@ -174,13 +187,13 @@ fn solve_norm(mut terms: Vec<(i64, i64)>, window: Interval, budget: &mut Budget)
         return HitResult::No;
     }
     if g > 1 {
-        for t in &mut terms {
+        for t in terms.iter_mut() {
             t.0 /= g;
         }
     }
     // Gap lemma (coefficients ascending).
     terms.sort_unstable_by_key(|&(c, _)| c);
-    let (hull_g, gap) = hull_and_gap(&terms);
+    let (hull_g, gap) = hull_and_gap(terms);
     let clo = wlo_g.max(0);
     let chi = whi_g.min(hull_g);
     if clo > chi {
@@ -193,20 +206,24 @@ fn solve_norm(mut terms: Vec<(i64, i64)>, window: Interval, budget: &mut Budget)
     if !budget.spend() {
         return HitResult::MaybeYes;
     }
-    let (c, r) = terms.pop().expect("nonempty");
-    let rest = terms;
-    let rest_hull: i128 = rest.iter().map(|&(c2, r2)| c2 as i128 * r2 as i128).sum();
+    let (c, r) = *terms.last().expect("nonempty");
+    let rest = start..buf.len() - 1;
+    let rest_hull: i128 = buf[rest.clone()].iter().map(|&(c2, r2)| c2 as i128 * r2 as i128).sum();
     // Feasible values a of this variable: need rest-sum ∈ [clo - c·a, chi - c·a] ∩ [0, rest_hull].
     let a_lo = div_ceil_i128(clo - rest_hull, c as i128).max(0);
     let a_hi = div_floor_i128(chi, c as i128).min(r as i128);
     if a_lo > a_hi {
         return HitResult::No;
     }
+    let tail = buf.len();
     let mut saw_maybe = false;
     for a in a_lo..=a_hi {
         let sub_lo = (clo - c as i128 * a).clamp(i64::MIN as i128, i64::MAX as i128) as i64;
         let sub_hi = (chi - c as i128 * a).clamp(i64::MIN as i128, i64::MAX as i128) as i64;
-        match solve_norm(rest.clone(), Interval::new(sub_lo, sub_hi), budget) {
+        buf.extend_from_within(rest.clone());
+        let sub = solve_norm(buf, tail, Interval::new(sub_lo, sub_hi), budget);
+        buf.truncate(tail);
+        match sub {
             HitResult::Yes => return HitResult::Yes,
             HitResult::MaybeYes => saw_maybe = true,
             HitResult::No => {}
@@ -219,36 +236,43 @@ fn solve_norm(mut terms: Vec<(i64, i64)>, window: Interval, budget: &mut Budget)
     }
 }
 
-/// Decide `∃ x ∈ b : form(x) ∈ window`.
+/// Decide `∃ x ∈ b, y ∈ extra : form(x) + c·y ∈ window`, where the
+/// optional `extra = (c, range)` is one more variable appended after the
+/// box's — the wrap variable `n` (coefficient `−M`) of a replacement
+/// query — so callers never build an extended form or box. `terms` is
+/// scratch space for the normalised query; passing the same buffer to
+/// every query makes the solver allocation-free once it has grown.
 ///
 /// `Yes`/`No` are exact; `MaybeYes` only occurs when the node budget is
 /// exhausted (conservatively treated as a hit by miss analysis).
 pub fn interval_hit(
     form: &AffineForm,
     b: &IntBox,
+    extra: Option<(i64, Interval)>,
     window: Interval,
     budget: &mut Budget,
+    terms: &mut Vec<(i64, i64)>,
 ) -> HitResult {
     budget.refill();
-    let Some(norm) = normalize(form, b, window) else {
+    let Some(norm_window) = normalize(form, b, extra, window, terms) else {
         return HitResult::No;
     };
-    let r = solve_norm(norm.terms, norm.window, budget);
+    let r = solve_norm(terms, 0, norm_window, budget);
     if r == HitResult::MaybeYes {
         budget.fallbacks += 1;
     }
     r
 }
 
-/// Convenience wrapper: conservative boolean answer with a default budget.
-pub fn interval_hit_bool(form: &AffineForm, b: &IntBox, window: Interval) -> bool {
-    interval_hit(form, b, window, &mut Budget::default()).as_conservative_bool()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::enumhit::enum_interval_hit;
+
+    /// A query without an extra variable, on a fresh buffer.
+    fn hit(f: &AffineForm, b: &IntBox, w: Interval, bud: &mut Budget) -> HitResult {
+        interval_hit(f, b, None, w, bud, &mut Vec::new())
+    }
 
     fn bx(ranges: &[(i64, i64)]) -> IntBox {
         IntBox::new(ranges.iter().map(|&(a, b)| Interval::new(a, b)).collect())
@@ -259,8 +283,8 @@ mod tests {
         let f = AffineForm::constant(1, 5);
         let b = bx(&[(0, 10)]);
         let mut bud = Budget::default();
-        assert_eq!(interval_hit(&f, &b, Interval::new(5, 5), &mut bud), HitResult::Yes);
-        assert_eq!(interval_hit(&f, &b, Interval::new(6, 9), &mut bud), HitResult::No);
+        assert_eq!(hit(&f, &b, Interval::new(5, 5), &mut bud), HitResult::Yes);
+        assert_eq!(hit(&f, &b, Interval::new(6, 9), &mut bud), HitResult::No);
     }
 
     #[test]
@@ -270,10 +294,10 @@ mod tests {
         let f = AffineForm::new(vec![4], 0);
         let b = bx(&[(0, 100)]);
         let mut bud = Budget::default();
-        assert_eq!(interval_hit(&f, &b, Interval::new(18, 21), &mut bud), HitResult::Yes);
-        assert_eq!(interval_hit(&f, &b, Interval::new(17, 18), &mut bud), HitResult::No);
+        assert_eq!(hit(&f, &b, Interval::new(18, 21), &mut bud), HitResult::Yes);
+        assert_eq!(hit(&f, &b, Interval::new(17, 18), &mut bud), HitResult::No);
         // Out of hull.
-        assert_eq!(interval_hit(&f, &b, Interval::new(401, 500), &mut bud), HitResult::No);
+        assert_eq!(hit(&f, &b, Interval::new(401, 500), &mut bud), HitResult::No);
     }
 
     #[test]
@@ -284,7 +308,7 @@ mod tests {
         let mut bud = Budget::default();
         for a in -15..12 {
             let want = enum_interval_hit(&f, &b, Interval::new(a, a + 1));
-            let got = interval_hit(&f, &b, Interval::new(a, a + 1), &mut bud);
+            let got = hit(&f, &b, Interval::new(a, a + 1), &mut bud);
             assert_eq!(got.as_conservative_bool(), want, "window [{}, {}]", a, a + 1);
             assert_ne!(got, HitResult::MaybeYes);
         }
@@ -300,7 +324,7 @@ mod tests {
         let mut bud = Budget::default();
         for s in 0..256 {
             let w = Interval::new(s * 32, s * 32 + 31);
-            let got = interval_hit(&f, &b, w, &mut bud);
+            let got = hit(&f, &b, w, &mut bud);
             // gcd is 4; every 32-byte window contains multiples of 4 and
             // i-steps of 4 are dense: must be Yes.
             assert_eq!(got, HitResult::Yes, "set {s}");
@@ -328,7 +352,7 @@ mod tests {
             let w = Interval::new(wlo, wlo + rng.gen_range(0..=10i64));
             let want = enum_interval_hit(&f, &b, w);
             let mut bud = Budget::default();
-            let got = interval_hit(&f, &b, w, &mut bud);
+            let got = hit(&f, &b, w, &mut bud);
             assert_ne!(got, HitResult::MaybeYes, "case {case} fell back");
             assert_eq!(got == HitResult::Yes, want, "case {case}: f={f} box={b:?} w={w}");
         }
@@ -341,7 +365,7 @@ mod tests {
         let f = AffineForm::new(vec![1000, 999], 0);
         let b = bx(&[(0, 30), (0, 30)]);
         let mut bud = Budget::new(0);
-        let r = interval_hit(&f, &b, Interval::new(1, 2), &mut bud);
+        let r = hit(&f, &b, Interval::new(1, 2), &mut bud);
         assert_eq!(r, HitResult::MaybeYes);
         assert_eq!(bud.fallbacks, 1);
     }
@@ -351,9 +375,9 @@ mod tests {
         let f = AffineForm::new(vec![1], 0);
         let mut bud = Budget::default();
         assert_eq!(
-            interval_hit(&f, &IntBox::new(vec![Interval::empty()]), Interval::new(0, 10), &mut bud),
+            hit(&f, &IntBox::new(vec![Interval::empty()]), Interval::new(0, 10), &mut bud),
             HitResult::No
         );
-        assert_eq!(interval_hit(&f, &bx(&[(0, 5)]), Interval::empty(), &mut bud), HitResult::No);
+        assert_eq!(hit(&f, &bx(&[(0, 5)]), Interval::empty(), &mut bud), HitResult::No);
     }
 }

@@ -13,102 +13,70 @@ use crate::interval::Interval;
 use std::cmp::Ordering;
 
 /// One piece of a lexicographic interval: coordinates `0..fixed.len()` are
-/// pinned, coordinate `fixed.len()` (if any) is constrained to `range`, and
-/// all later coordinates are unconstrained (free within the ambient space).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LexPiece {
+/// pinned, coordinate `fixed.len()` is constrained to `range`, and all
+/// later coordinates are unconstrained (free within the ambient space).
+///
+/// Every piece's pinned prefix is a prefix of one of the interval's two
+/// endpoints, so pieces borrow it instead of owning a copy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LexPiece<'a> {
     /// Values of the leading fixed coordinates.
-    pub fixed: Vec<i64>,
-    /// Constraint on the first non-fixed coordinate; `None` when every
-    /// coordinate is fixed (a single-point piece only arises in degenerate
-    /// inputs and is filtered out for open intervals).
-    pub range: Option<Interval>,
+    pub fixed: &'a [i64],
+    /// Constraint on the first non-fixed coordinate.
+    pub range: Interval,
 }
 
-impl LexPiece {
-    /// Intersect this piece with an ambient box; `None` if empty. The
-    /// result constrains all `n` dimensions of `ambient`.
-    pub fn clip_to_box(&self, ambient: &IntBox) -> Option<IntBox> {
-        let mut dims = ambient.dims.clone();
+impl LexPiece<'_> {
+    /// Intersect this piece with an ambient box, writing the result into
+    /// `out` (which keeps its allocation across calls). Returns `false`
+    /// when the intersection is empty on a pinned or ranged coordinate;
+    /// `out` then holds no meaningful box. On `true`, `out` constrains
+    /// all dimensions of `ambient`.
+    pub fn clip_to_box(&self, ambient: &IntBox, out: &mut IntBox) -> bool {
+        out.dims.clear();
+        out.dims.extend_from_slice(&ambient.dims);
         for (t, v) in self.fixed.iter().enumerate() {
-            if !dims[t].contains(*v) {
-                return None;
+            if !out.dims[t].contains(*v) {
+                return false;
             }
-            dims[t] = Interval::point(*v);
+            out.dims[t] = Interval::point(*v);
         }
-        if let Some(r) = self.range {
-            let t = self.fixed.len();
-            debug_assert!(t < dims.len(), "ranged coordinate out of bounds");
-            dims[t] = dims[t].intersect(&r);
-            if dims[t].is_empty() {
-                return None;
-            }
-        }
-        Some(IntBox::new(dims))
+        let t = self.fixed.len();
+        debug_assert!(t < out.dims.len(), "ranged coordinate out of bounds");
+        out.dims[t] = out.dims[t].intersect(&self.range);
+        !out.dims[t].is_empty()
     }
-}
-
-/// Pieces of `{ j : j ≻ a }` (tail-strictly-greater), unbounded above.
-fn strictly_greater(a: &[i64]) -> Vec<LexPiece> {
-    // For each t: prefix = a[0..t], coordinate t ∈ [a_t + 1, +inf).
-    (0..a.len())
-        .map(|t| LexPiece {
-            fixed: a[..t].to_vec(),
-            range: Some(Interval::new(a[t] + 1, i64::MAX)),
-        })
-        .collect()
-}
-
-/// Pieces of `{ j : j ≺ b }`.
-fn strictly_less(b: &[i64]) -> Vec<LexPiece> {
-    (0..b.len())
-        .map(|t| LexPiece {
-            fixed: b[..t].to_vec(),
-            range: Some(Interval::new(i64::MIN, b[t] - 1)),
-        })
-        .collect()
 }
 
 /// Decompose the open lexicographic interval `{ j : a ≺ j ≺ b }` into
-/// disjoint pieces. Returns an empty vector when `a ⪰ b` (no points).
-pub fn between_open(a: &[i64], b: &[i64]) -> Vec<LexPiece> {
+/// disjoint pieces, yielded in a fixed order without allocating. Yields
+/// nothing when `a ⪰ b` (no points).
+///
+/// With `d` the first coordinate where `a` and `b` differ, the pieces are
+/// (all sharing the common prefix `a[..d]`):
+/// 1. `j_d = a_d`, tail strictly greater than `a`'s tail — one piece per
+///    later coordinate `t`, pinned to `a[..t]` with `j_t > a_t`;
+/// 2. `a_d < j_d < b_d`, tail free (when that range is non-empty);
+/// 3. `j_d = b_d`, tail strictly less than `b`'s tail — pinned to
+///    `b[..t]` with `j_t < b_t`.
+pub fn between_open<'a>(a: &'a [i64], b: &'a [i64]) -> impl Iterator<Item = LexPiece<'a>> {
     debug_assert_eq!(a.len(), b.len());
-    if lex_cmp(a, b) != Ordering::Less {
-        return Vec::new();
-    }
-    let mut pieces = Vec::new();
-    // Find the first differing coordinate.
-    let mut d = 0;
-    while d < a.len() && a[d] == b[d] {
-        d += 1;
-    }
-    debug_assert!(d < a.len(), "a ≺ b with equal coordinates is impossible");
-    let prefix = &a[..d];
-    // Piece set (all share the common prefix):
-    // 1. j_d = a_d, tail ≻ a-tail  (pieces of the suffix problem)
-    for mut p in strictly_greater(&a[d + 1..]) {
-        let mut fixed = prefix.to_vec();
-        fixed.push(a[d]);
-        fixed.extend_from_slice(&p.fixed);
-        p.fixed = fixed;
-        pieces.push(p);
-    }
-    // 2. a_d < j_d < b_d, tail free
-    if b[d] - a[d] >= 2 {
-        pieces.push(LexPiece {
-            fixed: prefix.to_vec(),
-            range: Some(Interval::new(a[d] + 1, b[d] - 1)),
-        });
-    }
-    // 3. j_d = b_d, tail ≺ b-tail
-    for mut p in strictly_less(&b[d + 1..]) {
-        let mut fixed = prefix.to_vec();
-        fixed.push(b[d]);
-        fixed.extend_from_slice(&p.fixed);
-        p.fixed = fixed;
-        pieces.push(p);
-    }
-    pieces
+    let m = a.len();
+    // First differing coordinate; `m` (no pieces at all) when a ⪰ b.
+    let d = if lex_cmp(a, b) == Ordering::Less {
+        a.iter().zip(b).position(|(x, y)| x != y).expect("a ≺ b differ somewhere")
+    } else {
+        m
+    };
+    let tail = (d + 1).min(m)..m;
+    let middle = (d < m && b[d] - a[d] >= 2)
+        .then(|| LexPiece { fixed: &a[..d], range: Interval::new(a[d] + 1, b[d] - 1) });
+    let above = tail
+        .clone()
+        .map(move |t| LexPiece { fixed: &a[..t], range: Interval::new(a[t] + 1, i64::MAX) });
+    let below =
+        tail.map(move |t| LexPiece { fixed: &b[..t], range: Interval::new(i64::MIN, b[t] - 1) });
+    above.chain(middle).chain(below)
 }
 
 #[cfg(test)]
@@ -118,13 +86,24 @@ mod tests {
     /// Brute-force membership check of the piece list against direct lex
     /// comparison over a small ambient box.
     fn check_cover(a: &[i64], b: &[i64], ambient: &IntBox) {
-        let pieces = between_open(a, b);
-        let boxes: Vec<IntBox> = pieces.iter().filter_map(|p| p.clip_to_box(ambient)).collect();
+        let boxes = clipped(a, b, ambient);
         for p in ambient.iter_points() {
             let inside = lex_cmp(a, &p) == Ordering::Less && lex_cmp(&p, b) == Ordering::Less;
             let covered = boxes.iter().filter(|bx| bx.contains(&p)).count();
             assert_eq!(covered, usize::from(inside), "point {p:?} for ({a:?}, {b:?})");
         }
+    }
+
+    /// The non-empty clipped boxes of `(a, b)`'s pieces.
+    fn clipped(a: &[i64], b: &[i64], ambient: &IntBox) -> Vec<IntBox> {
+        let mut out = IntBox::new(Vec::new());
+        let mut boxes = Vec::new();
+        for piece in between_open(a, b) {
+            if piece.clip_to_box(ambient, &mut out) {
+                boxes.push(out.clone());
+            }
+        }
+        boxes
     }
 
     #[test]
@@ -153,19 +132,15 @@ mod tests {
             let a = vec![0i64; m];
             let mut b = vec![9i64; m];
             b[0] = 9;
-            let pieces = between_open(&a, &b);
-            assert!(pieces.len() < 2 * m, "m={m}: {} pieces", pieces.len());
+            let pieces = between_open(&a, &b).count();
+            assert!(pieces < 2 * m, "m={m}: {pieces} pieces");
         }
     }
 
     #[test]
     fn empty_for_adjacent_points() {
         // (1,1) and (1,2) are consecutive: nothing strictly between.
-        let pieces = between_open(&[1, 1], &[1, 2]);
         let ambient = IntBox::from_sizes(&[5, 5]);
-        assert!(pieces
-            .iter()
-            .filter_map(|p| p.clip_to_box(&ambient))
-            .all(|b| b.is_empty() || b.volume() == 0));
+        assert!(clipped(&[1, 1], &[1, 2], &ambient).iter().all(|b| b.volume() == 0));
     }
 }

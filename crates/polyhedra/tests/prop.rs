@@ -34,9 +34,40 @@ proptest! {
         let w = Interval::new(wlo, wlo + wlen);
         let want = enum_interval_hit(&f, &b, w);
         let mut budget = Budget::default();
-        let got = interval_hit(&f, &b, w, &mut budget);
+        let got = interval_hit(&f, &b, None, w, &mut budget, &mut Vec::new());
         prop_assert_ne!(got, HitResult::MaybeYes, "budget exhausted on a tiny instance");
         prop_assert_eq!(got == HitResult::Yes, want);
+    }
+
+    /// The extra-term path (the wrap variable of a replacement query) must
+    /// answer exactly what the explicitly extended form and box answer —
+    /// including empty and single-point extra ranges — with one scratch
+    /// buffer reused across queries.
+    #[test]
+    fn formhit_extra_term_agrees_with_extended_enumeration(
+        (b, f, (m, n_lo, n_kind), (wlo, wlen)) in arb_box(3, 6).prop_flat_map(|b| {
+            let n = b.n_dims();
+            (Just(b), arb_form(n, 50), (-80i64..=80, -4i64..4, 0usize..3), (-300i64..300, 0i64..12))
+        })
+    ) {
+        let n_iv = match n_kind {
+            0 => Interval::new(n_lo, n_lo - 1),
+            1 => Interval::point(n_lo),
+            _ => Interval::new(n_lo, n_lo + 4),
+        };
+        let w = Interval::new(wlo, wlo + wlen);
+        let mut coeffs = f.coeffs.clone();
+        coeffs.push(m);
+        let mut dims = b.dims.clone();
+        dims.push(n_iv);
+        let want = enum_interval_hit(&AffineForm::new(coeffs, f.c0), &IntBox::new(dims), w);
+        let mut budget = Budget::default();
+        let mut terms = Vec::new();
+        let got = interval_hit(&f, &b, Some((m, n_iv)), w, &mut budget, &mut terms);
+        prop_assert_ne!(got, HitResult::MaybeYes, "budget exhausted on a tiny instance");
+        prop_assert_eq!(got == HitResult::Yes, want);
+        // A second query on the dirty buffer answers the same.
+        prop_assert_eq!(interval_hit(&f, &b, Some((m, n_iv)), w, &mut budget, &mut terms), got);
     }
 
     #[test]
@@ -62,8 +93,13 @@ proptest! {
         ))
     ) {
         let ambient = IntBox::from_sizes(&vec![4i64; dims]);
-        let pieces = between_open(&araw, &braw);
-        let boxes: Vec<IntBox> = pieces.iter().filter_map(|p| p.clip_to_box(&ambient)).collect();
+        let mut clip = IntBox::new(Vec::new());
+        let mut boxes = Vec::new();
+        for piece in between_open(&araw, &braw) {
+            if piece.clip_to_box(&ambient, &mut clip) {
+                boxes.push(clip.clone());
+            }
+        }
         for p in ambient.iter_points() {
             let inside = lex_cmp(&araw, &p) == std::cmp::Ordering::Less
                 && lex_cmp(&p, &braw) == std::cmp::Ordering::Less;

@@ -16,6 +16,10 @@
 //! capacities sum exactly to the configured bound, shard placement by
 //! the unkeyed `DefaultHasher` (stable across runs). Capacity 0 disables
 //! the store (every lookup computes).
+//!
+//! Each set is stored flat — one boxed slice of equal-width vectors laid
+//! end to end — and expanded into a fresh `Vec<Vec<i64>>` on a hit, so a
+//! retained entry costs one allocation rather than one per vector.
 
 use crate::lru::Lru;
 use cme_core::{DisplacementKey, DisplacementProvider};
@@ -24,7 +28,28 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-type Shard = Lru<DisplacementKey, Arc<Vec<Vec<i64>>>>;
+type Shard = Lru<DisplacementKey, FlatSet>;
+
+/// One displacement set, stored flat: `count` vectors of `width` values.
+struct FlatSet {
+    width: usize,
+    count: usize,
+    values: Box<[i64]>,
+}
+
+impl FlatSet {
+    fn of(set: &[Vec<i64>]) -> Self {
+        let width = set.first().map_or(0, Vec::len);
+        debug_assert!(set.iter().all(|v| v.len() == width), "displacements share one width");
+        FlatSet { width, count: set.len(), values: set.iter().flatten().copied().collect() }
+    }
+
+    fn expand(&self) -> Vec<Vec<i64>> {
+        (0..self.count)
+            .map(|i| self.values[i * self.width..(i + 1) * self.width].to_vec())
+            .collect()
+    }
+}
 
 /// Counters snapshot for `/metrics` (`displacement_cache` section).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,9 +134,9 @@ impl DisplacementCache {
 
 impl DisplacementProvider for DisplacementCache {
     /// Serve `key` from the store or compute (outside any lock) and
-    /// retain the result. Two threads racing on the same key compute the
-    /// same deterministic value; whichever inserts first wins and both
-    /// return equal sets.
+    /// retain the result. Every call returns its own copy of the set.
+    /// Two threads racing on the same key compute the same deterministic
+    /// value; whichever inserts first wins and both return equal sets.
     fn get_or_compute(
         &self,
         key: &DisplacementKey,
@@ -123,20 +148,17 @@ impl DisplacementProvider for DisplacementCache {
         }
         if let Some(hit) = self.shard(key).get(key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(hit);
+            return Arc::new(hit.expand());
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let fresh = Arc::new(compute());
+        let fresh = compute();
         let mut shard = self.shard(key);
-        if let Some(raced) = shard.get(key) {
-            // A concurrent request inserted the (identical) value while
-            // we computed; keep the stored Arc so memory is shared.
-            return Arc::clone(raced);
-        }
-        if shard.insert(key.clone(), Arc::clone(&fresh)) {
+        // A concurrent request may have inserted the (identical) value
+        // while we computed; keep the stored copy then.
+        if shard.get(key).is_none() && shard.insert(key.clone(), FlatSet::of(&fresh)) {
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
-        fresh
+        Arc::new(fresh)
     }
 }
 
@@ -162,14 +184,28 @@ mod tests {
     #[test]
     fn second_lookup_hits_without_recomputing() {
         let cache = DisplacementCache::new(64);
+        let k = key(3);
+        let set = vec![vec![1, 0], vec![0, -2], vec![3, 4]];
         let mut computed = 0;
-        let a = get(&cache, &key(3), &mut computed);
-        let b = get(&cache, &key(3), &mut computed);
+        let mut lookup = || {
+            cache.get_or_compute(&k, &mut || {
+                computed += 1;
+                set.clone()
+            })
+        };
+        let (a, b) = (lookup(), lookup());
         assert_eq!(computed, 1, "one computation for two lookups");
-        assert_eq!(a, b);
-        assert!(Arc::ptr_eq(&a, &b), "hit returns the stored allocation");
+        assert_eq!(*a, set);
+        assert_eq!(*b, set, "the hit expands to an equal set");
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn empty_and_zero_width_sets_round_trip() {
+        for set in [Vec::new(), vec![Vec::new()]] {
+            assert_eq!(FlatSet::of(&set).expand(), set);
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The outcome cache's on-disk layer: an append-only JSON-lines file,
-//! versioned by a schema fingerprint, loaded lazily and flushed on
-//! shutdown.
+//! versioned by a schema fingerprint, loaded lazily and flushed every
+//! 32 entries and on shutdown.
 //!
 //! File format (`<cache-dir>/outcomes.jsonl`):
 //!
@@ -19,11 +19,17 @@
 //!   outcome bodies stay on disk until a key actually hits, so start-up
 //!   cost is one sequential read of the index, not a deserialisation of
 //!   every stored outcome.
-//! * **Append-only.** Inserts buffer in memory ([`DiskTier::flush`]
-//!   appends them — called on `/shutdown` and SIGTERM). Within a file,
-//!   later entries for a key shadow earlier ones; since every search is
-//!   deterministic per canonical key, shadowed entries are byte-equal
-//!   anyway and re-warming a key is skipped entirely.
+//! * **Append-only.** Inserts buffer in memory until `FLUSH_EVERY` (32)
+//!   are pending, then [`DiskTier::insert`] appends them itself, so a
+//!   crash loses at most 31 entries and flushed lines are freed. `/shutdown` and SIGTERM call [`DiskTier::flush`] for the
+//!   rest; the count it returns (`/shutdown`'s `flushed`) covers only
+//!   what that flush wrote. Within a file, later entries for a key shadow
+//!   earlier ones; since every search is deterministic per canonical key,
+//!   shadowed entries are byte-equal anyway and re-warming a key is
+//!   skipped entirely.
+//! * **Torn tails repaired.** A crash mid-append can leave a final line
+//!   without its `\n`. Loading skips that line, and the next flush first
+//!   terminates it, so new entries never glue onto the torn bytes.
 
 use cme_api::Outcome;
 use serde::{Deserialize, Serialize};
@@ -32,6 +38,11 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+
+/// Pending entries that trigger an automatic flush from
+/// [`DiskTier::insert`]. It bounds both what a crash can lose and the
+/// linear scan that de-duplicates pending keys.
+const FLUSH_EVERY: usize = 32;
 
 /// One persisted entry.
 #[derive(Serialize, Deserialize)]
@@ -226,9 +237,10 @@ impl DiskTier {
         serde_json::from_str(&text).ok()
     }
 
-    /// Accept an outcome for appending (buffered until [`Self::flush`]).
-    /// Keys already on disk or already pending are skipped — re-warming
-    /// a deterministic outcome never grows the file.
+    /// Accept an outcome for appending. Entries buffer until
+    /// `FLUSH_EVERY` are pending, which appends them all. Keys already
+    /// on disk or already pending are skipped — re-warming a
+    /// deterministic outcome never grows the file.
     pub fn insert(&self, key: &str, outcome: &Outcome) {
         let mut state = self.state();
         if state.index.contains_key(key) || state.pending.iter().any(|(k, _)| k == key) {
@@ -242,14 +254,20 @@ impl DiskTier {
         };
         state.pending.push((key.to_string(), json));
         self.appended.fetch_add(1, Ordering::Relaxed);
+        if state.pending.len() >= FLUSH_EVERY {
+            self.write_pending(&mut state);
+        }
     }
 
     /// Append pending entries (rewriting the file first when it was
     /// absent or foreign-schema). Best-effort: I/O failure leaves the
     /// pending buffer intact for a later flush. Returns the number of
-    /// entries written.
+    /// entries written by this call.
     pub fn flush(&self) -> usize {
-        let mut state = self.state();
+        self.write_pending(&mut self.state())
+    }
+
+    fn write_pending(&self, state: &mut DiskState) -> usize {
         if state.pending.is_empty() && !state.rewrite {
             return 0;
         }
@@ -262,7 +280,7 @@ impl DiskTier {
         let open = if fresh {
             std::fs::File::create(&self.path)
         } else {
-            std::fs::OpenOptions::new().append(true).open(&self.path)
+            std::fs::OpenOptions::new().read(true).append(true).open(&self.path)
         };
         let Ok(mut file) = open else {
             return 0;
@@ -278,8 +296,8 @@ impl DiskTier {
             state.index.clear();
             header.len() as u64 + 1
         } else {
-            match file.metadata() {
-                Ok(m) => m.len(),
+            match repair_torn_tail(&mut file) {
+                Ok(len) => len,
                 Err(_) => return 0,
             }
         };
@@ -327,5 +345,94 @@ impl DiskTier {
             misses: self.misses(),
             appended: self.appended(),
         }
+    }
+}
+
+/// Terminate a torn final line (a crash mid-append) so the next append
+/// starts on a line of its own. Returns the file length afterwards — the
+/// offset of the next appended byte.
+fn repair_torn_tail(file: &mut std::fs::File) -> std::io::Result<u64> {
+    let len = file.metadata()?.len();
+    if len == 0 {
+        return Ok(0);
+    }
+    let mut last = [0u8; 1];
+    file.seek(SeekFrom::Start(len - 1))?;
+    file.read_exact(&mut last)?;
+    if last[0] == b'\n' {
+        return Ok(len);
+    }
+    file.write_all(b"\n")?;
+    Ok(len + 1)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A fresh directory for one test's tier.
+    fn scratch(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("cme-persist-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// A distinct outcome per index.
+    fn outcome(i: usize) -> Outcome {
+        Outcome { kernel: format!("k{i}"), ..sentinel_outcome() }
+    }
+
+    fn key(i: usize) -> String {
+        format!("key-{i}")
+    }
+
+    /// The stored bytes of a served entry equal what was inserted.
+    fn served(tier: &DiskTier, i: usize) -> bool {
+        tier.get(&key(i)).is_some_and(|o| {
+            serde_json::to_string(&o).ok() == serde_json::to_string(&outcome(i)).ok()
+        })
+    }
+
+    #[test]
+    fn a_full_batch_flushes_without_an_explicit_flush() {
+        let dir = scratch("batch");
+        {
+            let tier = DiskTier::new(&dir);
+            for i in 0..40 {
+                tier.insert(&key(i), &outcome(i));
+            }
+            // Dropped without `flush` — a crash as far as the file knows.
+        }
+        let tier = DiskTier::new(&dir);
+        assert!((0..FLUSH_EVERY).all(|i| served(&tier, i)), "the first batch survives");
+        assert!((FLUSH_EVERY..40).all(|i| tier.get(&key(i)).is_none()), "the rest was pending");
+        assert_eq!(tier.stats().entries, FLUSH_EVERY);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_torn_tail_is_terminated_before_the_next_append() {
+        let dir = scratch("torn");
+        let tier = DiskTier::new(&dir);
+        tier.insert(&key(0), &outcome(0));
+        tier.insert(&key(1), &outcome(1));
+        assert_eq!(tier.flush(), 2);
+        // A crash mid-append: the last line is cut inside its JSON.
+        let line = serde_json::to_string(&DiskLine { key: key(2), outcome: outcome(2) }).unwrap();
+        let mut file = std::fs::OpenOptions::new().append(true).open(tier.path()).unwrap();
+        file.write_all(&line.as_bytes()[..line.len() / 2]).unwrap();
+        drop((file, tier));
+
+        let tier = DiskTier::new(&dir);
+        assert!(served(&tier, 0) && served(&tier, 1), "entries before the tear are served");
+        assert!(tier.get(&key(2)).is_none(), "the torn entry is never served");
+        tier.insert(&key(3), &outcome(3));
+        assert_eq!(tier.flush(), 1);
+        assert!(served(&tier, 3), "the appended entry reads back from its recorded span");
+
+        let tier = DiskTier::new(&dir);
+        assert!((0..2).chain([3]).all(|i| served(&tier, i)), "a restart reads every whole line");
+        assert_eq!(tier.stats().entries, 3);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

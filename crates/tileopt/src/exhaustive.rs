@@ -7,6 +7,7 @@ use crate::problem::TilingObjective;
 use cme_core::{CacheSpec, CmeModel, EvalEngine, SamplingConfig};
 use cme_ga::Objective;
 use cme_loopnest::{LoopNest, MemoryLayout, TileSizes};
+use rayon::prelude::*;
 
 /// Result of an exhaustive sweep over every tile vector.
 #[derive(Debug, Clone)]
@@ -65,26 +66,18 @@ pub fn exhaustive_search_on(
     if total > max_evals {
         return Err(format!("exhaustive sweep of {total} tilings exceeds cap {max_evals}"));
     }
-    let objective = TilingObjective::new(engine);
-    let mut landscape = Vec::with_capacity(total as usize);
+    // Enumerate the grid in lexicographic order (odometer with stride,
+    // clamped to include the full span), then score it as one
+    // order-preserving parallel batch — the sweep's candidate-level
+    // parallelism, like a GA generation's.
+    let mut grid = Vec::with_capacity(total as usize);
     let mut tiles: Vec<i64> = vec![1; spans.len()];
-    loop {
-        let cost = objective.cost(&tiles);
-        landscape.push((tiles.clone(), cost));
-        // Odometer with stride, clamped to include the full span.
+    'odometer: loop {
+        grid.push(tiles.clone());
         let mut d = spans.len();
         loop {
             if d == 0 {
-                let (bt, bc) = landscape
-                    .iter()
-                    .min_by(|a, b| a.1.partial_cmp(&b.1).expect("costs are finite"))
-                    .expect("nonempty landscape")
-                    .clone();
-                return Ok(ExhaustiveResult {
-                    best_tiles: TileSizes(bt),
-                    best_cost: bc,
-                    landscape,
-                });
+                break 'odometer;
             }
             d -= 1;
             if tiles[d] < spans[d] {
@@ -97,6 +90,15 @@ pub fn exhaustive_search_on(
             tiles[d] = spans[d]; // will be reset unless odometer ends
         }
     }
+    let objective = TilingObjective::new(engine);
+    let costs: Vec<f64> = grid.par_iter().map(|t| objective.cost(t)).collect();
+    let landscape: Vec<(Vec<i64>, f64)> = grid.into_iter().zip(costs).collect();
+    let (bt, bc) = landscape
+        .iter()
+        .min_by(|a, b| a.1.partial_cmp(&b.1).expect("costs are finite"))
+        .expect("nonempty landscape")
+        .clone();
+    Ok(ExhaustiveResult { best_tiles: TileSizes(bt), best_cost: bc, landscape })
 }
 
 #[cfg(test)]
