@@ -31,8 +31,7 @@ use cme_polyhedra::{AffineForm, IntBox, Interval};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
-/// Node budget for one exact integer feasibility query (the same order of
-/// magnitude as the budget the former uniform-only checker used).
+/// Node budget for one exact integer feasibility query.
 pub const NODE_BUDGET: u64 = 200_000;
 
 /// One component of a direction vector: how the source iteration relates

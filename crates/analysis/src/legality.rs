@@ -9,11 +9,10 @@
 //!   positive (loop-independent dependences are preserved by any
 //!   permutation of a perfect nest).
 //!
-//! These replace the uniform-only checks in `cme_loopnest::deps`, which
-//! conservatively declared every non-uniform affine pair illegal; the
-//! verdict type ([`TilingLegality`]) is shared so call sites keep their
-//! shape. Reason strings follow the repo's ref-indexed wording
-//! convention: ``ref N (`array`): …``.
+//! The verdict type ([`TilingLegality`]) lives in `cme_loopnest::deps`,
+//! next to the brute-force tiled-trace oracle that checks it. Reason
+//! strings follow the repo's ref-indexed wording convention:
+//! ``ref N (`array`): …``.
 
 use crate::dependence::{analyze, render_dirs, DependenceAnalysis, Dir};
 use cme_loopnest::deps::TilingLegality;
@@ -63,9 +62,7 @@ pub fn permutation_violation(analysis: &DependenceAnalysis, perm: &[usize]) -> O
 }
 
 /// Decide whether rectangular tiling (any tile sizes, block loops
-/// outermost) preserves all data dependences of the nest — the
-/// direction-vector replacement for the uniform-only
-/// `cme_loopnest::deps::rectangular_tiling_legality`.
+/// outermost) preserves all data dependences of the nest.
 pub fn rectangular_tiling_legality(nest: &LoopNest) -> TilingLegality {
     let analysis = analyze(nest);
     match tiling_violation(&analysis) {
@@ -74,9 +71,8 @@ pub fn rectangular_tiling_legality(nest: &LoopNest) -> TilingLegality {
     }
 }
 
-/// Decide whether permuting the loops by `perm` preserves all
-/// dependences — the direction-vector replacement for the uniform-only
-/// `cme_loopnest::deps::permutation_legality`.
+/// Decide whether permuting the loops by `perm` (new level `k` executes
+/// old loop `perm[k]`) preserves all dependences.
 pub fn permutation_legality(nest: &LoopNest, perm: &[usize]) -> TilingLegality {
     let d = nest.depth();
     assert_eq!(perm.len(), d, "permutation arity");

@@ -1,11 +1,10 @@
 //! `cme-analysis` — static dependence analysis and kernel lints for
 //! affine loop nests.
 //!
-//! The suite's original legality checker (`cme_loopnest::deps`) only
-//! understood *uniformly generated* reference pairs and conservatively
-//! declared every non-uniform affine pair illegal, which cost transpose-
-//! like kernels their entire interchange/tiling search space. This crate
-//! supplies the real machinery:
+//! This crate is the suite's one legality checker. It reasons about
+//! general affine reference pairs, not only *uniformly generated* ones,
+//! so transpose-like kernels such as TSHIFT keep their interchange and
+//! tiling search space:
 //!
 //! * [`dependence`] — classic exact/approximate dependence tests (GCD
 //!   test, Banerjee bounds with direction constraints, an exact integer

@@ -1,7 +1,10 @@
 //! Brute-force dependence oracle: enumerate every iteration pair.
 //!
 //! On a shrunk iteration space this computes the *exact* dependence
-//! structure by replaying the nest: for each ordered reference pair it
+//! structure of the nest's bounding box (`LoopNest::iter_box`) by
+//! replaying it. For a triangular nest that box over-approximates the
+//! trapezoid the nest really runs, just as the static tests do, so there
+//! the two are not independent. For each ordered reference pair it
 //! buckets iterations by the array element they touch and records the
 //! componentwise direction of every (earlier, later) iteration pair on a
 //! shared element. The static tests in [`crate::dependence`] are

@@ -3,12 +3,10 @@
 //! These are the textbook results: MM's reduction is carried by the
 //! innermost loop only (fully permutable, freely tileable), ADI's sweep
 //! carries a dependence at the outer level, the out-of-place stencils and
-//! transposes have no dependences at all, and TSHIFT — the non-uniform
-//! pair the old uniform-distance checker rejected outright — is proven
-//! dependence-free.
+//! transposes have no dependences at all, and TSHIFT — a non-uniform
+//! pair no distance-vector solve can relate — is proven dependence-free.
 
 use cme_analysis::{analyze, rectangular_tiling_legality, render_dirs, Dir};
-use cme_loopnest::deps::TilingLegality;
 
 fn build(name: &str, n: i64) -> cme_loopnest::LoopNest {
     (cme_kernels::kernel_by_name(name).unwrap().build)(n)
@@ -60,15 +58,20 @@ fn out_of_place_kernels_have_no_dependences() {
 #[test]
 fn tshift_non_uniform_pair_is_proven_dependence_free() {
     let nest = build("TSHIFT", 8);
-    // The read a(j, i) and write a(x, y+n) touch the same array with a
-    // non-uniform subscript pair — exactly what the old distance-vector
-    // checker refused to reason about.
-    assert!(matches!(
-        cme_loopnest::deps::rectangular_tiling_legality(&nest),
-        TilingLegality::Illegal { .. }
-    ));
-    // The Banerjee/exact pipeline proves the column bands disjoint.
+    // The read a(j, i) and write a(i, j+n) touch the same array with a
+    // non-uniform subscript pair; the Banerjee/exact pipeline proves the
+    // column bands disjoint.
     let a = analyze(&nest);
     assert!(a.pairs.is_empty(), "TSHIFT bands are disjoint: no dependences");
     assert!(rectangular_tiling_legality(&nest).is_legal());
+}
+
+#[test]
+fn every_registry_kernel_is_tileable_except_trsolve() {
+    for spec in cme_kernels::all_kernels() {
+        let legal = rectangular_tiling_legality(&build(spec.name, 8)).is_legal();
+        // TRSOLVE's refusal is conservative: the analysis reasons over
+        // the bounding box, where the read b(j) also reaches j > i.
+        assert_eq!(legal, spec.name != "TRSOLVE", "{}: tiling verdict", spec.name);
+    }
 }

@@ -169,12 +169,12 @@ fn main() {
     println!("cache-hot speedup: {hot_speedup:.0}× requests/sec (outcome cache)");
 
     // Confirm each phase hit the tier it claims before reporting it.
-    let outcomes = runtime.outcomes();
+    let outcomes = runtime.outcomes().stats();
     let disp = runtime.displacements().stats();
     assert!(
-        outcomes.hits() >= HOT_REQUESTS as u64,
+        outcomes.hits >= HOT_REQUESTS as u64,
         "hot phase must be outcome-cache-served (hits = {})",
-        outcomes.hits()
+        outcomes.hits
     );
     assert!(
         disp.hits > 0,
@@ -195,8 +195,8 @@ fn main() {
         (hot.label.into(), hot.json()),
         ("near_miss_over_cold_rps".into(), serde::Value::Float(near_speedup)),
         ("hot_over_cold_rps".into(), serde::Value::Float(hot_speedup)),
-        ("cache_hits".into(), serde::Value::UInt(outcomes.hits())),
-        ("cache_misses".into(), serde::Value::UInt(outcomes.misses())),
+        ("cache_hits".into(), serde::Value::UInt(outcomes.hits)),
+        ("cache_misses".into(), serde::Value::UInt(outcomes.misses)),
         ("displacement_hits".into(), serde::Value::UInt(disp.hits)),
         ("displacement_misses".into(), serde::Value::UInt(disp.misses)),
     ]);

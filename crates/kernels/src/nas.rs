@@ -102,7 +102,6 @@ pub fn vpenta2(n: i64) -> LoopNest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cme_loopnest::deps::rectangular_tiling_legality;
     use cme_loopnest::MemoryLayout;
 
     #[test]
@@ -112,13 +111,6 @@ mod tests {
         assert_eq!(vpenta1(8).depth(), 2);
         assert_eq!(vpenta1(8).refs.len(), 8);
         assert_eq!(vpenta2(8).depth(), 2);
-    }
-
-    #[test]
-    fn all_tileable() {
-        for nest in [add(8), btrix(8), vpenta1(8), vpenta2(8)] {
-            assert!(rectangular_tiling_legality(&nest).is_legal(), "{}", nest.name);
-        }
     }
 
     #[test]

@@ -49,7 +49,6 @@ pub fn adi(n: i64) -> LoopNest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cme_loopnest::deps::rectangular_tiling_legality;
 
     #[test]
     fn jacobi_structure() {
@@ -57,7 +56,6 @@ mod tests {
         assert_eq!(n.depth(), 3);
         assert_eq!(n.refs.len(), 8);
         assert_eq!(n.iterations(), 18 * 18 * 18);
-        assert!(rectangular_tiling_legality(&n).is_legal());
     }
 
     #[test]
@@ -65,7 +63,5 @@ mod tests {
         let n = adi(100);
         assert_eq!(n.depth(), 2);
         assert_eq!(n.refs.len(), 4);
-        // Recurrence along j with distance (1, 0): still fully permutable.
-        assert!(rectangular_tiling_legality(&n).is_legal());
     }
 }

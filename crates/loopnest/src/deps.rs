@@ -1,23 +1,24 @@
-//! Uniform dependence analysis and rectangular-tiling legality.
+//! The legality verdict type, loop permutation, and a brute-force
+//! tiled-trace oracle.
 //!
-//! Tiling every loop and hoisting all block loops outermost (Fig. 3(b)) is
-//! legal exactly when the nest is *fully permutable*: every dependence
-//! distance vector must be component-wise non-negative. This module
-//! extracts distance vectors between uniformly generated reference pairs
-//! (the only kind our kernels produce) and decides legality; non-uniform
-//! pairs involving a write are handled conservatively.
+//! Legality itself is decided by `cme-analysis`
+//! (`cme_analysis::rectangular_tiling_legality` and
+//! `cme_analysis::permutation_legality`), which derives direction vectors
+//! for general affine reference pairs. This module keeps what that crate
+//! and its callers share: the [`TilingLegality`] verdict,
+//! [`apply_permutation`], and [`brute_force_legality`], which replays a
+//! tiny nest's trace in both schedules to check a verdict by exhaustion.
 
 use crate::layout::MemoryLayout;
 use crate::nest::LoopNest;
-use cme_polyhedra::polyhedron::{Constraint, Polyhedron};
-use cme_polyhedra::{AffineForm, IntBox, Interval};
 
-/// Outcome of the legality analysis.
+/// Verdict of a legality check (rectangular tiling or a permutation).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TilingLegality {
-    /// All dependence distances component-wise ≥ 0 (fully permutable).
+    /// The transform preserves every dependence.
     Legal,
-    /// A violating dependence was found (or had to be assumed).
+    /// A dependence the transform would reverse was found (or had to be
+    /// assumed).
     Illegal { reason: String },
 }
 
@@ -27,162 +28,9 @@ impl TilingLegality {
     }
 }
 
-/// Decide whether rectangular tiling (any tile sizes, block loops
-/// outermost) preserves all data dependences of the nest.
-///
-/// For every ordered pair of references to the same array with at least
-/// one write:
-/// * **uniform pairs** — solve `Σ_t C_{s,t}·r_t = δ_s` for the distance
-///   vector `r` (subscript coefficients are equal, constants differ);
-///   tiling is illegal iff some lexicographically positive solution within
-///   the iteration-span window has a negative component;
-/// * **non-uniform pairs** — assumed illegal (conservative), with the
-///   pair named in the reason.
-pub fn rectangular_tiling_legality(nest: &LoopNest) -> TilingLegality {
-    let d = nest.depth();
-    let spans = nest.spans();
-    for (i1, r1) in nest.refs.iter().enumerate() {
-        for (i2, r2) in nest.refs.iter().enumerate() {
-            if r1.array != r2.array || (!r1.is_write() && !r2.is_write()) {
-                continue;
-            }
-            if !r1.uniform_with(r2) {
-                return TilingLegality::Illegal {
-                    reason: format!(
-                        "non-uniform reference pair #{i1}/#{i2} on array `{}` (conservative)",
-                        nest.array(r1.array).name
-                    ),
-                };
-            }
-            // Distance system: for each array dim s, C_s·r = k1_s − k2_s
-            // (dependence from the r1 access at i to the r2 access at
-            // i + r touching the same element).
-            // Search for a violating r: lex-positive with a negative
-            // component.
-            let window =
-                IntBox::new(spans.iter().map(|&s| Interval::new(-(s - 1), s - 1)).collect());
-            for lead in 0..d {
-                // Lex-positive piece: r_0..r_{lead-1} = 0, r_lead ≥ 1.
-                for neg in lead + 1..d {
-                    let mut p = Polyhedron::from_box(&window);
-                    for (s1, s2) in r1.subscripts.iter().zip(&r2.subscripts) {
-                        // Σ C_t r_t = k1 − k2  ⇔  Σ C_t r_t − (k1 − k2) = 0
-                        let mut eq = AffineForm::new(s1.coeffs.clone(), 0);
-                        eq.c0 = -(s1.c0 - s2.c0);
-                        p.and_eq0(eq);
-                    }
-                    for t in 0..lead {
-                        p.and_eq0(AffineForm::var(d, t));
-                    }
-                    p.and(Constraint::ge(AffineForm::var(d, lead), AffineForm::constant(d, 1)));
-                    p.and(Constraint::le(AffineForm::var(d, neg), AffineForm::constant(d, -1)));
-                    let mut cap = 200_000u64;
-                    match p.is_empty_int(&window, &mut cap) {
-                        Some(true) => {}
-                        Some(false) => {
-                            return TilingLegality::Illegal {
-                                reason: format!(
-                                    "dependence between refs #{i1} and #{i2} on `{}` has a \
-                                     lex-positive distance with negative component {neg}",
-                                    nest.array(r1.array).name
-                                ),
-                            };
-                        }
-                        None => {
-                            return TilingLegality::Illegal {
-                                reason: "legality search budget exhausted (conservative)".into(),
-                            };
-                        }
-                    }
-                }
-            }
-        }
-    }
-    TilingLegality::Legal
-}
-
-/// Decide whether permuting the loops by `perm` (new level `k` executes
-/// old loop `perm[k]`) preserves all dependences: every dependence
-/// distance that is lexicographically positive in the original order must
-/// remain lexicographically positive after permutation.
-pub fn permutation_legality(nest: &LoopNest, perm: &[usize]) -> TilingLegality {
-    let d = nest.depth();
-    assert_eq!(perm.len(), d, "permutation arity");
-    {
-        let mut seen = vec![false; d];
-        for &p in perm {
-            assert!(p < d && !seen[p], "not a permutation");
-            seen[p] = true;
-        }
-    }
-    let spans = nest.spans();
-    for (i1, r1) in nest.refs.iter().enumerate() {
-        for (i2, r2) in nest.refs.iter().enumerate() {
-            if r1.array != r2.array || (!r1.is_write() && !r2.is_write()) {
-                continue;
-            }
-            if !r1.uniform_with(r2) {
-                return TilingLegality::Illegal {
-                    reason: format!(
-                        "non-uniform reference pair #{i1}/#{i2} on array `{}` (conservative)",
-                        nest.array(r1.array).name
-                    ),
-                };
-            }
-            let window =
-                IntBox::new(spans.iter().map(|&s| Interval::new(-(s - 1), s - 1)).collect());
-            // Violation: r lex-positive originally, lex-negative after
-            // permutation. Decompose both orders into leading-zero pieces.
-            for lead in 0..d {
-                for plead in 0..d {
-                    let mut p = Polyhedron::from_box(&window);
-                    for (s1, s2) in r1.subscripts.iter().zip(&r2.subscripts) {
-                        let mut eq = AffineForm::new(s1.coeffs.clone(), 0);
-                        eq.c0 = -(s1.c0 - s2.c0);
-                        p.and_eq0(eq);
-                    }
-                    // Original order: r_0..r_{lead-1} = 0, r_lead ≥ 1.
-                    for t in 0..lead {
-                        p.and_eq0(AffineForm::var(d, t));
-                    }
-                    p.and(Constraint::ge(AffineForm::var(d, lead), AffineForm::constant(d, 1)));
-                    // Permuted order: r_{perm[0]}..r_{perm[plead-1]} = 0,
-                    // r_{perm[plead]} ≤ −1.
-                    for k in 0..plead {
-                        p.and_eq0(AffineForm::var(d, perm[k]));
-                    }
-                    p.and(Constraint::le(
-                        AffineForm::var(d, perm[plead]),
-                        AffineForm::constant(d, -1),
-                    ));
-                    let mut cap = 200_000u64;
-                    match p.is_empty_int(&window, &mut cap) {
-                        Some(true) => {}
-                        Some(false) => {
-                            return TilingLegality::Illegal {
-                                reason: format!(
-                                    "dependence between refs #{i1} and #{i2} on `{}` is reversed \
-                                     by the permutation {perm:?}",
-                                    nest.array(r1.array).name
-                                ),
-                            };
-                        }
-                        None => {
-                            return TilingLegality::Illegal {
-                                reason: "legality search budget exhausted (conservative)".into(),
-                            };
-                        }
-                    }
-                }
-            }
-        }
-    }
-    TilingLegality::Legal
-}
-
 /// Apply a loop permutation: new level `k` runs old loop `perm[k]`.
 /// Subscript coefficients are remapped accordingly. Legality is the
-/// caller's responsibility (see [`permutation_legality`]).
+/// caller's responsibility (see `cme_analysis::permutation_legality`).
 pub fn apply_permutation(nest: &LoopNest, perm: &[usize]) -> LoopNest {
     let d = nest.depth();
     assert_eq!(perm.len(), d);
@@ -250,96 +98,22 @@ pub fn brute_force_legality(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::array::{ArrayDecl, ArrayId};
-    use crate::nest::{LoopDef, LoopNest};
-    use crate::refs::MemRef;
-    use crate::TileSizes;
+    use crate::builder::{sub, NestBuilder};
 
-    fn v(c: Vec<i64>, c0: i64) -> AffineForm {
-        AffineForm::new(c, c0)
-    }
-
-    /// Matrix multiply: no loop-carried dependences except a(i,j) on itself
-    /// along k (distance (0,0,1) ≥ 0) — fully permutable.
+    /// Matrix multiply `a(i,j) += b(i,k) * c(k,j)`.
     fn mm(n: i64) -> LoopNest {
-        LoopNest {
-            name: "mm".into(),
-            loops: vec![LoopDef::new("i", 1, n), LoopDef::new("j", 1, n), LoopDef::new("k", 1, n)],
-            arrays: vec![
-                ArrayDecl::real4("a", &[n, n]),
-                ArrayDecl::real4("b", &[n, n]),
-                ArrayDecl::real4("c", &[n, n]),
-            ],
-            refs: vec![
-                MemRef::read(ArrayId(0), vec![v(vec![1, 0, 0], 0), v(vec![0, 1, 0], 0)]),
-                MemRef::read(ArrayId(1), vec![v(vec![1, 0, 0], 0), v(vec![0, 0, 1], 0)]),
-                MemRef::read(ArrayId(2), vec![v(vec![0, 0, 1], 0), v(vec![0, 1, 0], 0)]),
-                MemRef::write(ArrayId(0), vec![v(vec![1, 0, 0], 0), v(vec![0, 1, 0], 0)]),
-            ],
-        }
-    }
-
-    /// Anti-diagonal recurrence: x(i,j) = x(i-1,j+1) — distance (1,-1):
-    /// NOT fully permutable.
-    fn skewed(n: i64) -> LoopNest {
-        LoopNest {
-            name: "skew".into(),
-            loops: vec![LoopDef::new("i", 2, n), LoopDef::new("j", 1, n - 1)],
-            arrays: vec![ArrayDecl::real4("x", &[n, n])],
-            refs: vec![
-                MemRef::read(ArrayId(0), vec![v(vec![1, 0], -1), v(vec![0, 1], 1)]),
-                MemRef::write(ArrayId(0), vec![v(vec![1, 0], 0), v(vec![0, 1], 0)]),
-            ],
-        }
-    }
-
-    /// Forward recurrence x(i,j) = x(i,j-1): distance (0,1) ≥ 0 — legal.
-    fn forward(n: i64) -> LoopNest {
-        LoopNest {
-            name: "fwd".into(),
-            loops: vec![LoopDef::new("i", 1, n), LoopDef::new("j", 2, n)],
-            arrays: vec![ArrayDecl::real4("x", &[n, n])],
-            refs: vec![
-                MemRef::read(ArrayId(0), vec![v(vec![1, 0], 0), v(vec![0, 1], -1)]),
-                MemRef::write(ArrayId(0), vec![v(vec![1, 0], 0), v(vec![0, 1], 0)]),
-            ],
-        }
-    }
-
-    #[test]
-    fn mm_is_fully_permutable() {
-        assert!(rectangular_tiling_legality(&mm(8)).is_legal());
-    }
-
-    #[test]
-    fn skewed_recurrence_rejected() {
-        match rectangular_tiling_legality(&skewed(8)) {
-            TilingLegality::Illegal { reason } => assert!(reason.contains("negative component")),
-            TilingLegality::Legal => panic!("skewed recurrence must be illegal to tile"),
-        }
-    }
-
-    #[test]
-    fn forward_recurrence_allowed() {
-        assert!(rectangular_tiling_legality(&forward(8)).is_legal());
-    }
-
-    #[test]
-    fn permutation_legality_basics() {
-        // MM: fully permutable — every permutation legal.
-        let m = mm(6);
-        for perm in [[0usize, 1, 2], [2, 1, 0], [1, 2, 0], [0, 2, 1]] {
-            assert!(permutation_legality(&m, &perm).is_legal(), "{perm:?}");
-        }
-        // Forward recurrence x(i,j) = x(i,j-1) with loops (i,j): distance
-        // (0,1); swapping to (j,i) makes it (1,0) — still lex-positive:
-        // legal. The skewed recurrence (1,-1) reversed by the swap: illegal.
-        let f = forward(6);
-        assert!(permutation_legality(&f, &[1, 0]).is_legal());
-        let s = skewed(6);
-        assert!(!permutation_legality(&s, &[1, 0]).is_legal());
-        // Identity permutation is always legal on uniform nests.
-        assert!(permutation_legality(&s, &[0, 1]).is_legal());
+        let mut nb = NestBuilder::new("mm");
+        let i = nb.add_loop("i", 1, n);
+        let j = nb.add_loop("j", 1, n);
+        let k = nb.add_loop("k", 1, n);
+        let a = nb.array("a", &[n, n]);
+        let b = nb.array("b", &[n, n]);
+        let c = nb.array("c", &[n, n]);
+        nb.read(a, &[sub(i), sub(j)]);
+        nb.read(b, &[sub(i), sub(k)]);
+        nb.read(c, &[sub(k), sub(j)]);
+        nb.write(a, &[sub(i), sub(j)]);
+        nb.finish().unwrap()
     }
 
     #[test]
@@ -361,27 +135,5 @@ mod tests {
         // Double permutation composes back to the identity.
         let back = apply_permutation(&p, &[1, 2, 0]);
         assert_eq!(back.refs, m.refs);
-    }
-
-    #[test]
-    fn brute_force_agrees_on_small_nests() {
-        for (nest, expect) in [(mm(4), true), (skewed(5), false), (forward(5), true)] {
-            let layout = MemoryLayout::contiguous(&nest);
-            let analytic = rectangular_tiling_legality(&nest).is_legal();
-            assert_eq!(analytic, expect, "analytic verdict for {}", nest.name);
-            // Brute force over a few tilings; illegal nests must exhibit a
-            // violation for at least one tiling, legal nests for none.
-            let mut any_violation = false;
-            for tiles in [vec![2; nest.depth()], vec![3; nest.depth()], vec![1; nest.depth()]] {
-                let t = TileSizes(tiles);
-                if t.validate(&nest).is_err() {
-                    continue;
-                }
-                if !brute_force_legality(&nest, &layout, &t) {
-                    any_violation = true;
-                }
-            }
-            assert_eq!(!any_violation, expect, "brute force for {}", nest.name);
-        }
     }
 }

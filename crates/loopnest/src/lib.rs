@@ -14,7 +14,8 @@
 //!   version, represented as a disjoint union of integer boxes in
 //!   *(block, intra-tile-offset)* coordinates (the multiple convex regions
 //!   of paper §2.4),
-//! * uniform dependence analysis and rectangular-tiling legality,
+//! * the legality verdict type, loop permutation and a brute-force
+//!   tiled-trace oracle (legality itself is decided by `cme-analysis`),
 //! * an in-order access trace generator feeding the `cme-cachesim` oracle.
 
 pub mod array;

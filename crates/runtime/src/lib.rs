@@ -4,17 +4,21 @@
 //! deliberately per-request: build an engine, run a search, drop it.
 //! This crate owns everything whose natural lifetime is the *process*:
 //!
+//! * [`Memo`] — the one bounded, shard-locked memo type, with the hit,
+//!   miss and eviction counters `/metrics` reports ([`CacheStats`]).
+//!   Every cache below is one.
 //! * [`DisplacementCache`] — the engine's per-request Diophantine memo
-//!   promoted to a bounded, shard-locked global store, plugged into
-//!   every engine through the [`cme_core::DisplacementProvider`] seam.
+//!   promoted to a process-wide store, plugged into every engine through
+//!   the [`cme_core::DisplacementProvider`] seam.
 //! * [`Singleflight`] — in-flight coalescing: identical canonical
 //!   request keys arriving concurrently share one computation.
-//! * [`TieredOutcomeCache`] — the hot sharded outcome LRU backed by an
+//! * [`TieredOutcomeCache`] — the hot outcome memo backed by an
 //!   optional append-only on-disk layer ([`DiskTier`]), versioned by a
 //!   schema fingerprint and flushed every 32 entries and on shutdown.
-//! * [`LintCache`] — the (single-shard) `/lint` memo-cache.
+//! * the `/lint` and `/compare` memos, sized from the outcome entry
+//!   count.
 //!
-//! [`Runtime`] bundles the four plus a [`cme_api::Session`] wired to the
+//! [`Runtime`] bundles them plus a [`cme_api::Session`] wired to the
 //! displacement store; the serve router drives requests through it.
 //! Nothing here changes what a request answers — every tier stores
 //! timing-stripped values and byte-identity with all tiers disabled is
@@ -25,15 +29,16 @@
 pub mod displacement;
 pub mod flight;
 pub mod lru;
+pub mod memo;
 pub mod outcome;
 pub mod persist;
 
-pub use displacement::{DisplacementCache, DisplacementStats};
+pub use displacement::DisplacementCache;
 pub use flight::{FlightResult, FlightStats, Singleflight};
 pub use lru::Lru;
+pub use memo::{CacheStats, Memo, Stored};
 pub use outcome::{
-    canonical_compare_key, canonical_key, canonical_lint_key, CompareCache, LintCache,
-    OutcomeCache, Tier, TieredOutcomeCache,
+    canonical_compare_key, canonical_key, canonical_lint_key, Tier, TieredOutcomeCache,
 };
 pub use persist::{schema_fingerprint, DiskStats, DiskTier};
 
@@ -48,12 +53,10 @@ use std::sync::Arc;
 /// cache; 0 disables that cache.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RuntimeConfig {
-    /// Hot-tier outcome cache entries.
+    /// Hot-tier outcome cache entries. The `/lint` memo gets the same
+    /// count and the `/compare` memo a quarter of it, at most 256 (see
+    /// [`Runtime::new`]).
     pub outcome_entries: usize,
-    /// Lint cache entries.
-    pub lint_entries: usize,
-    /// Compare (tournament) cache entries.
-    pub compare_entries: usize,
     /// Process-wide displacement store entries.
     pub displacement_entries: usize,
     /// Directory for the persistent outcome tier; `None` = memory only.
@@ -64,10 +67,6 @@ impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
             outcome_entries: 1024,
-            lint_entries: 1024,
-            // Tournaments multiply the work of a single optimize request
-            // by the line-up size, so even a shallow memo pays for itself.
-            compare_entries: 256,
             // Displacement sets average ~230 vectors, ~5 KB stored flat,
             // over the registry kernels at their default sizes. They are
             // shared across every request touching the same array
@@ -128,26 +127,30 @@ pub struct Runtime {
     session: Session,
     displacements: Arc<DisplacementCache>,
     outcomes: TieredOutcomeCache,
-    lints: LintCache,
-    compares: CompareCache,
+    lints: Memo<String, LintOutcome>,
+    compares: Memo<String, CompareOutcome>,
     flights: Singleflight<Result<Outcome, ApiError>>,
 }
 
 impl Runtime {
+    /// Build every memo from `config`. The `/lint` memo holds as many
+    /// entries as the outcome cache. Tournaments are much larger values,
+    /// so the `/compare` memo holds a quarter as many, at most 256,
+    /// which keeps its footprint comparable; 0 still disables both.
     pub fn new(config: &RuntimeConfig) -> Self {
+        let n = config.outcome_entries;
         let displacements = Arc::new(DisplacementCache::new(config.displacement_entries));
         let session =
             Session::builder().displacement_provider(Arc::clone(&displacements) as _).build();
-        let outcomes = match &config.cache_dir {
-            Some(dir) => TieredOutcomeCache::with_disk(config.outcome_entries, DiskTier::new(dir)),
-            None => TieredOutcomeCache::new(config.outcome_entries),
-        };
         Runtime {
             session,
             displacements,
-            outcomes,
-            lints: LintCache::new(config.lint_entries),
-            compares: CompareCache::new(config.compare_entries),
+            outcomes: TieredOutcomeCache::new(n, config.cache_dir.as_deref().map(DiskTier::new)),
+            lints: Memo::new(n),
+            compares: Memo::new(match n {
+                0 => 0,
+                n => (n / 4).clamp(1, 256),
+            }),
             flights: Singleflight::new(),
         }
     }
@@ -166,11 +169,11 @@ impl Runtime {
         &self.outcomes
     }
 
-    pub fn lints(&self) -> &LintCache {
+    pub fn lints(&self) -> &Memo<String, LintOutcome> {
         &self.lints
     }
 
-    pub fn compares(&self) -> &CompareCache {
+    pub fn compares(&self) -> &Memo<String, CompareOutcome> {
         &self.compares
     }
 

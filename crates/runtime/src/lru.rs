@@ -3,10 +3,9 @@
 //! lookup, an index-linked list through a slab of entries for recency
 //! order; both `get` and `insert` are O(1).
 //!
-//! Shard-level locking, telemetry and policy live in the tiers
-//! ([`crate::OutcomeCache`], [`crate::DisplacementCache`], …) — this type
-//! is deliberately policy-free so one implementation (and one test
-//! suite) backs them all.
+//! Shard-level locking, telemetry and policy live in [`crate::Memo`] —
+//! this type is deliberately policy-free so one implementation (and one
+//! test suite) backs every cache.
 
 use std::borrow::Borrow;
 use std::collections::HashMap;
@@ -21,9 +20,8 @@ struct Entry<K, V> {
     next: usize,
 }
 
-/// A single-threaded LRU map (one shard of the concurrent tiers).
-/// Defaults to the outcome cache's key/value types.
-pub struct Lru<K = String, V = cme_api::Outcome> {
+/// A single-threaded LRU map (one shard of a [`crate::Memo`]).
+pub struct Lru<K, V> {
     map: HashMap<K, usize>,
     entries: Vec<Entry<K, V>>,
     head: usize,

@@ -1,27 +1,24 @@
-//! The outcome memo-caches, keyed by the *canonical* serialisation of a
-//! parsed request.
+//! The outcome, lint and compare memos, keyed by the *canonical*
+//! serialisation of a parsed request.
 //!
 //! Canonical means the key is produced by re-serialising the **parsed**
 //! request, so two JSON bodies that differ in object key order,
 //! whitespace, or spelled-out default fields collapse onto one entry.
-//! Values are stored timing-stripped ([`Outcome::without_timing`]) — the
-//! cached form is the canonical comparison form, and a hit is
-//! byte-identical to a fresh run modulo `wall_ms`, which the service
-//! layer re-stamps with the (near-zero) time the lookup took. Every
-//! search in the suite is deterministic for a fixed request, which is
-//! what makes memoisation sound in the first place.
+//! Values are stored timing-stripped ([`Outcome::without_timing`] and its
+//! lint and compare counterparts) — the cached form is the canonical
+//! comparison form, and a hit is byte-identical to a fresh run modulo
+//! `wall_ms`, which the service layer re-stamps with the (near-zero)
+//! time the lookup took. Every search in the suite is deterministic for
+//! a fixed request, which is what makes memoisation sound in the first
+//! place.
 //!
-//! [`TieredOutcomeCache`] fronts the hot sharded LRU with an optional
+//! [`TieredOutcomeCache`] fronts the hot outcome [`Memo`] with an optional
 //! persistent layer ([`DiskTier`]): misses fall through to disk, disk
 //! hits are promoted back into the hot tier, inserts feed both.
 
-use crate::lru::Lru;
+use crate::memo::{CacheStats, Memo, Stored};
 use crate::persist::{DiskStats, DiskTier};
 use cme_api::{CompareOutcome, CompareRequest, LintOutcome, LintRequest, OptimizeRequest, Outcome};
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// The cache key for a request: its serialised form after parsing, which
 /// normalises field order and defaults. (Serialisation of a parsed
@@ -57,94 +54,25 @@ pub fn canonical_compare_key(req: &CompareRequest) -> String {
     serde_json::to_string(&r).unwrap_or_else(|_| format!("unserialisable:{r:?}"))
 }
 
-/// Thread-safe LRU over independently locked [`Lru`] shards, plus hit
-/// and eviction telemetry for `/metrics`. Capacity 0 disables caching
-/// (lookups miss, inserts drop).
-pub struct OutcomeCache {
-    shards: Vec<Mutex<Lru>>,
-    capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+/// Each answer type is memoised in its timing-stripped form and handed
+/// back as a clone of it.
+macro_rules! stored_without_timing {
+    ($($t:ty),*) => {$(
+        impl Stored for $t {
+            type Value = $t;
+
+            fn store(value: &$t) -> $t {
+                value.without_timing()
+            }
+
+            fn load(&self) -> $t {
+                self.clone()
+            }
+        }
+    )*};
 }
 
-impl OutcomeCache {
-    pub fn new(capacity: usize) -> Self {
-        // Shard only when each shard stays big enough (≥ 32 entries) that
-        // hot keys colliding on one shard cannot thrash a near-empty
-        // cache; small capacities get a single shard. The remainder is
-        // spread over the first shards so per-shard capacities sum to
-        // exactly `capacity` — the configured bound is a hard ceiling.
-        let shard_count = (capacity / 32).clamp(1, 8);
-        let (base, rem) = (capacity / shard_count, capacity % shard_count);
-        OutcomeCache {
-            shards: (0..shard_count)
-                .map(|i| Mutex::new(Lru::new(base + usize::from(i < rem))))
-                .collect(),
-            capacity,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
-    }
-
-    fn shard(&self, key: &str) -> MutexGuard<'_, Lru> {
-        // DefaultHasher::new() is unkeyed, so shard placement is stable
-        // across runs (replay-friendly).
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        let i = (h.finish() % self.shards.len() as u64) as usize;
-        self.shards[i].lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Look up a timing-stripped outcome, counting the hit or miss.
-    pub fn get(&self, key: &str) -> Option<Outcome> {
-        if self.capacity == 0 {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        let found = self.shard(key).get(key).cloned();
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
-    }
-
-    /// Store the timing-stripped form of `outcome` under `key`.
-    pub fn insert(&self, key: String, outcome: &Outcome) {
-        if self.capacity == 0 {
-            return;
-        }
-        if self.shard(&key).insert(key.clone(), outcome.without_timing()) {
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).len()).sum()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-}
+stored_without_timing!(Outcome, LintOutcome, CompareOutcome);
 
 /// Which tier answered a [`TieredOutcomeCache::get`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -153,23 +81,18 @@ pub enum Tier {
     Disk,
 }
 
-/// The hot sharded LRU backed by an optional persistent layer. All
+/// The hot outcome memo backed by an optional persistent layer. All
 /// reads and writes keep the timing-stripped invariant of the tiers
 /// below.
 pub struct TieredOutcomeCache {
-    hot: OutcomeCache,
+    hot: Memo<String, Outcome>,
     disk: Option<DiskTier>,
 }
 
 impl TieredOutcomeCache {
-    /// Memory-only (the pre-runtime behaviour).
-    pub fn new(capacity: usize) -> Self {
-        TieredOutcomeCache { hot: OutcomeCache::new(capacity), disk: None }
-    }
-
-    /// Hot tier backed by a persistent layer.
-    pub fn with_disk(capacity: usize, disk: DiskTier) -> Self {
-        TieredOutcomeCache { hot: OutcomeCache::new(capacity), disk: Some(disk) }
+    /// A hot tier of `capacity` entries, backed by `disk` when given.
+    pub fn new(capacity: usize, disk: Option<DiskTier>) -> Self {
+        TieredOutcomeCache { hot: Memo::new(capacity), disk }
     }
 
     /// Look up a key across the tiers; a disk hit is promoted into the
@@ -202,187 +125,15 @@ impl TieredOutcomeCache {
         self.disk.as_ref().map_or(0, DiskTier::flush)
     }
 
+    /// Hot-tier telemetry (a disk hit counts as a hot miss plus a
+    /// `disk.hits`).
+    pub fn stats(&self) -> CacheStats {
+        self.hot.stats()
+    }
+
     /// Persistent-layer telemetry, when configured.
     pub fn disk_stats(&self) -> Option<DiskStats> {
         self.disk.as_ref().map(DiskTier::stats)
-    }
-
-    pub fn len(&self) -> usize {
-        self.hot.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.hot.is_empty()
-    }
-
-    pub fn capacity(&self) -> usize {
-        self.hot.capacity()
-    }
-
-    /// Hot-tier hits (disk hits count as hot misses plus `disk.hits`).
-    pub fn hits(&self) -> u64 {
-        self.hot.hits()
-    }
-
-    pub fn misses(&self) -> u64 {
-        self.hot.misses()
-    }
-
-    pub fn evictions(&self) -> u64 {
-        self.hot.evictions()
-    }
-}
-
-/// The `/lint` memo-cache: one mutex around an [`Lru`] of timing-stripped
-/// [`LintOutcome`]s. Lints are dependence analysis only — orders of
-/// magnitude cheaper than a search — so a single shard suffices; the
-/// telemetry mirrors [`OutcomeCache`] for `/metrics`. Capacity 0
-/// disables caching.
-pub struct LintCache {
-    lru: Mutex<Lru<String, LintOutcome>>,
-    capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-}
-
-impl LintCache {
-    pub fn new(capacity: usize) -> Self {
-        LintCache {
-            lru: Mutex::new(Lru::new(capacity.max(1))),
-            capacity,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, Lru<String, LintOutcome>> {
-        self.lru.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Look up a timing-stripped lint outcome, counting the hit or miss.
-    pub fn get(&self, key: &str) -> Option<LintOutcome> {
-        if self.capacity == 0 {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        let found = self.lock().get(key).cloned();
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
-    }
-
-    /// Store the timing-stripped form of `outcome` under `key`.
-    pub fn insert(&self, key: String, outcome: &LintOutcome) {
-        if self.capacity == 0 {
-            return;
-        }
-        if self.lock().insert(key, outcome.without_timing()) {
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        self.lock().len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-}
-
-/// The `/compare` memo-cache: one mutex around an [`Lru`] of
-/// timing-stripped [`CompareOutcome`]s. Tournaments are few and large,
-/// so a single shard suffices; the telemetry mirrors [`OutcomeCache`]
-/// for `/metrics`. Capacity 0 disables caching.
-pub struct CompareCache {
-    lru: Mutex<Lru<String, CompareOutcome>>,
-    capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-}
-
-impl CompareCache {
-    pub fn new(capacity: usize) -> Self {
-        CompareCache {
-            lru: Mutex::new(Lru::new(capacity.max(1))),
-            capacity,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, Lru<String, CompareOutcome>> {
-        self.lru.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Look up a timing-stripped tournament, counting the hit or miss.
-    pub fn get(&self, key: &str) -> Option<CompareOutcome> {
-        if self.capacity == 0 {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        let found = self.lock().get(key).cloned();
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
-    }
-
-    /// Store the timing-stripped form of `outcome` under `key`.
-    pub fn insert(&self, key: String, outcome: &CompareOutcome) {
-        if self.capacity == 0 {
-            return;
-        }
-        if self.lock().insert(key, outcome.without_timing()) {
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        self.lock().len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
     }
 }
 

@@ -72,8 +72,8 @@ fn tiers_resolve_in_order_hot_then_compute() {
         second.expect("cached"),
         "cache hit is the timing-stripped computed outcome"
     );
-    assert_eq!(rt.outcomes().hits(), 1);
-    assert_eq!(rt.outcomes().misses(), 1);
+    let stats = rt.outcomes().stats();
+    assert_eq!((stats.hits, stats.misses), (1, 1));
 }
 
 #[test]

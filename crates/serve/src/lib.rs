@@ -66,7 +66,8 @@ pub struct ServeConfig {
     /// Ready requests that may wait for a worker before `503`s begin
     /// (≥ 1).
     pub queue_depth: usize,
-    /// Outcome- and lint-cache capacity in entries; 0 disables caching.
+    /// Outcome- and lint-cache capacity in entries (the compare cache
+    /// gets a quarter, at most 256); 0 disables caching.
     pub cache_entries: usize,
     /// Process-wide displacement-cache capacity in entries; 0 disables
     /// cross-request sharing of the Diophantine half of CME evaluation.
@@ -87,14 +88,6 @@ impl ServeConfig {
     pub fn runtime_config(&self) -> RuntimeConfig {
         RuntimeConfig {
             outcome_entries: self.cache_entries,
-            lint_entries: self.cache_entries,
-            // Tournaments are much larger values; a quarter of the
-            // outcome capacity keeps the memory footprint comparable
-            // (0 still means disabled).
-            compare_entries: match self.cache_entries {
-                0 => 0,
-                n => (n / 4).clamp(1, 256),
-            },
             displacement_entries: self.displacement_entries,
             cache_dir: self.cache_dir.clone(),
         }

@@ -2,7 +2,7 @@
 //! histograms, rendered as the `/metrics` JSON document. Everything here
 //! is lock-free on the hot path — handlers only touch atomics.
 
-use cme_runtime::Runtime;
+use cme_runtime::{CacheStats, Runtime};
 use serde::Value;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -150,14 +150,10 @@ impl Metrics {
     /// The `/metrics` document (see the README field glossary).
     pub fn snapshot(&self, workers: usize, runtime: &Runtime) -> Value {
         let load = |c: &AtomicU64| Value::UInt(c.load(Ordering::Relaxed));
-        let cache = runtime.outcomes();
-        let lint_cache = runtime.lints();
-        let compare_cache = runtime.compares();
-        let disp = runtime.displacements().stats();
         let flights = runtime.flights().stats();
         // The persistent tier's stats, or `null` when `--cache-dir` was
         // not configured (entries stay 0 until the lazy index loads).
-        let disk = match cache.disk_stats() {
+        let disk = match runtime.outcomes().disk_stats() {
             None => Value::Null,
             Some(d) => Value::Object(vec![
                 ("loaded".into(), Value::Bool(d.loaded)),
@@ -167,6 +163,8 @@ impl Metrics {
                 ("appended".into(), Value::UInt(d.appended)),
             ]),
         };
+        let mut cache = cache_section(runtime.outcomes().stats());
+        cache.push(("disk".into(), disk));
         Value::Object(vec![
             ("uptime_ms".into(), Value::UInt(self.uptime_ms())),
             ("workers".into(), Value::UInt(workers as u64)),
@@ -188,46 +186,12 @@ impl Metrics {
                     ("unmatched".into(), load(&self.routes.unmatched)),
                 ]),
             ),
-            (
-                "cache".into(),
-                Value::Object(vec![
-                    ("entries".into(), Value::UInt(cache.len() as u64)),
-                    ("capacity".into(), Value::UInt(cache.capacity() as u64)),
-                    ("hits".into(), Value::UInt(cache.hits())),
-                    ("misses".into(), Value::UInt(cache.misses())),
-                    ("evictions".into(), Value::UInt(cache.evictions())),
-                    ("disk".into(), disk),
-                ]),
-            ),
-            (
-                "lint_cache".into(),
-                Value::Object(vec![
-                    ("entries".into(), Value::UInt(lint_cache.len() as u64)),
-                    ("capacity".into(), Value::UInt(lint_cache.capacity() as u64)),
-                    ("hits".into(), Value::UInt(lint_cache.hits())),
-                    ("misses".into(), Value::UInt(lint_cache.misses())),
-                    ("evictions".into(), Value::UInt(lint_cache.evictions())),
-                ]),
-            ),
-            (
-                "compare_cache".into(),
-                Value::Object(vec![
-                    ("entries".into(), Value::UInt(compare_cache.len() as u64)),
-                    ("capacity".into(), Value::UInt(compare_cache.capacity() as u64)),
-                    ("hits".into(), Value::UInt(compare_cache.hits())),
-                    ("misses".into(), Value::UInt(compare_cache.misses())),
-                    ("evictions".into(), Value::UInt(compare_cache.evictions())),
-                ]),
-            ),
+            ("cache".into(), Value::Object(cache)),
+            ("lint_cache".into(), Value::Object(cache_section(runtime.lints().stats()))),
+            ("compare_cache".into(), Value::Object(cache_section(runtime.compares().stats()))),
             (
                 "displacement_cache".into(),
-                Value::Object(vec![
-                    ("entries".into(), Value::UInt(disp.entries as u64)),
-                    ("capacity".into(), Value::UInt(disp.capacity as u64)),
-                    ("hits".into(), Value::UInt(disp.hits)),
-                    ("misses".into(), Value::UInt(disp.misses)),
-                    ("evictions".into(), Value::UInt(disp.evictions)),
-                ]),
+                Value::Object(cache_section(runtime.displacements().stats())),
             ),
             (
                 "coalescing".into(),
@@ -260,6 +224,17 @@ impl Default for Metrics {
     }
 }
 
+/// The fields every cache section of `/metrics` shares, in wire order.
+fn cache_section(stats: CacheStats) -> Vec<(String, Value)> {
+    vec![
+        ("entries".into(), Value::UInt(stats.entries as u64)),
+        ("capacity".into(), Value::UInt(stats.capacity as u64)),
+        ("hits".into(), Value::UInt(stats.hits)),
+        ("misses".into(), Value::UInt(stats.misses)),
+        ("evictions".into(), Value::UInt(stats.evictions)),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,8 +261,6 @@ mod tests {
         m.requests_total.fetch_add(3, Ordering::Relaxed);
         let runtime = Runtime::new(&cme_runtime::RuntimeConfig {
             outcome_entries: 8,
-            lint_entries: 8,
-            compare_entries: 4,
             displacement_entries: 16,
             cache_dir: None,
         });
@@ -314,7 +287,8 @@ mod tests {
         // No --cache-dir in this runtime: the disk tier reports null.
         assert_eq!(snap.get("cache").unwrap().get("disk"), Some(&Value::Null));
         assert_eq!(snap.get("lint_cache").unwrap().get("capacity"), Some(&Value::UInt(8)));
-        assert_eq!(snap.get("compare_cache").unwrap().get("capacity"), Some(&Value::UInt(4)));
+        // The compare memo holds a quarter of the outcome entry count.
+        assert_eq!(snap.get("compare_cache").unwrap().get("capacity"), Some(&Value::UInt(2)));
         assert_eq!(snap.get("displacement_cache").unwrap().get("capacity"), Some(&Value::UInt(16)));
         assert!(snap.get("coalescing").unwrap().get("leaders").is_some());
         assert!(snap.get("routes").unwrap().get("lint").is_some());
@@ -339,5 +313,23 @@ mod tests {
         assert_eq!(disk.get("loaded"), Some(&Value::Bool(false)), "stats never force a load");
         assert_eq!(disk.get("entries"), Some(&Value::UInt(0)));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn cache_sections_render_one_shape_with_disk_last() {
+        let stats = CacheStats { entries: 3, capacity: 8, hits: 5, misses: 2, evictions: 1 };
+        assert_eq!(
+            serde_json::to_string(&Value::Object(cache_section(stats))).unwrap(),
+            r#"{"entries":3,"capacity":8,"hits":5,"misses":2,"evictions":1}"#
+        );
+        let runtime = Runtime::new(&cme_runtime::RuntimeConfig {
+            outcome_entries: 8,
+            ..cme_runtime::RuntimeConfig::default()
+        });
+        let snap = Metrics::new().snapshot(1, &runtime);
+        assert_eq!(
+            serde_json::to_string(snap.get("cache").unwrap()).unwrap(),
+            r#"{"entries":0,"capacity":8,"hits":0,"misses":0,"evictions":0,"disk":null}"#
+        );
     }
 }

@@ -30,7 +30,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 /// Shared service state: the process-wide [`Runtime`] (session,
-/// displacement store, tiered outcome cache, lint cache, coalescing),
+/// displacement store, tiered outcome cache, lint and compare caches,
+/// coalescing),
 /// telemetry, and the graceful-shutdown flag. One `App` serves every
 /// worker thread.
 pub struct App {
@@ -41,16 +42,14 @@ pub struct App {
 }
 
 impl App {
-    /// Memory-only app: `cache_entries` sizes the outcome and lint
-    /// caches, everything else at [`RuntimeConfig`] defaults.
+    /// Memory-only app: `cache_entries` sizes the outcome, lint and
+    /// compare caches as `--cache-entries` does (see
+    /// [`cme_runtime::Runtime::new`]), everything else at
+    /// [`RuntimeConfig`] defaults.
     pub fn new(workers: usize, cache_entries: usize) -> App {
         App::with_runtime(
             workers,
-            &RuntimeConfig {
-                outcome_entries: cache_entries,
-                lint_entries: cache_entries,
-                ..RuntimeConfig::default()
-            },
+            &RuntimeConfig { outcome_entries: cache_entries, ..RuntimeConfig::default() },
         )
     }
 
@@ -533,7 +532,7 @@ mod tests {
     fn second_identical_request_hits_the_cache() {
         let app = App::new(1, 8);
         let cold = app.handle(&post("/optimize", TINY));
-        assert_eq!(app.runtime.outcomes().hits(), 0);
+        assert_eq!(app.runtime.outcomes().stats().hits, 0);
         // Different key order and spelled-out defaults — still the same
         // canonical request.
         let reordered = format!(
@@ -545,7 +544,7 @@ mod tests {
         );
         let hot = app.handle(&post("/optimize", &reordered));
         assert_eq!(hot.status, 200, "{}", hot.body);
-        assert_eq!(app.runtime.outcomes().hits(), 1);
+        assert_eq!(app.runtime.outcomes().stats().hits, 1);
         let a: Outcome = serde_json::from_str(&cold.body).unwrap();
         let b: Outcome = serde_json::from_str(&hot.body).unwrap();
         assert_eq!(a.without_timing(), b.without_timing());
@@ -572,7 +571,7 @@ mod tests {
         }"#;
         let cold = app.handle(&post("/optimize", inline));
         assert_eq!(cold.status, 200, "{}", cold.body);
-        assert_eq!(app.runtime.outcomes().hits(), 0);
+        assert_eq!(app.runtime.outcomes().stats().hits, 0);
         let respelled = r#"{
             "strategy": {"Exhaustive": {"max_evals": 100, "step": 1}},
             "cache": {"assoc": 1, "line": 16, "size": 256},
@@ -587,8 +586,12 @@ mod tests {
         }"#;
         let hot = app.handle(&post("/optimize", respelled));
         assert_eq!(hot.status, 200, "{}", hot.body);
-        assert_eq!(app.runtime.outcomes().hits(), 1, "inline spelling variants share one key");
-        assert_eq!(app.runtime.outcomes().len(), 1);
+        assert_eq!(
+            app.runtime.outcomes().stats().hits,
+            1,
+            "inline spelling variants share one key"
+        );
+        assert_eq!(app.runtime.outcomes().stats().entries, 1);
         let a: Outcome = serde_json::from_str(&cold.body).unwrap();
         let b: Outcome = serde_json::from_str(&hot.body).unwrap();
         assert_eq!(a.without_timing(), b.without_timing());
@@ -649,10 +652,10 @@ mod tests {
         assert!(results[1].get("error").is_some(), "slot 1 is an error");
         assert!(results[2].get("strategy").is_some(), "slot 2 is an outcome");
         assert_eq!(results[2], results[3], "duplicate slots share one search's outcome");
-        assert_eq!(app.runtime.outcomes().hits(), 1, "slot 0 came from the cache");
+        assert_eq!(app.runtime.outcomes().stats().hits, 1, "slot 0 came from the cache");
 
         // The batch's (deduplicated) fresh run is now cached too.
-        assert_eq!(app.runtime.outcomes().len(), 2);
+        assert_eq!(app.runtime.outcomes().stats().entries, 2);
     }
 
     #[test]
@@ -674,7 +677,11 @@ mod tests {
             assert!(resp.body.contains(needle), "{path}: {}", resp.body);
             assert!(resp.body.contains("unknown variant `lattice`"), "{path}: {}", resp.body);
         }
-        assert!(app.runtime.outcomes().is_empty(), "a rejected request computes nothing");
+        assert_eq!(
+            app.runtime.outcomes().stats().entries,
+            0,
+            "a rejected request computes nothing"
+        );
 
         // A spelled-out `"cme"` is served, and shares the absent form's
         // cache entry.
@@ -683,8 +690,8 @@ mod tests {
         assert_eq!(cold.status, 200, "{}", cold.body);
         let hot = app.handle(&post("/optimize", TINY));
         assert_eq!(hot.status, 200, "{}", hot.body);
-        assert_eq!(app.runtime.outcomes().hits(), 1);
-        assert_eq!(app.runtime.outcomes().len(), 1);
+        assert_eq!(app.runtime.outcomes().stats().hits, 1);
+        assert_eq!(app.runtime.outcomes().stats().entries, 1);
     }
 
     #[test]
@@ -712,7 +719,7 @@ mod tests {
             assert_eq!(serde_json::to_string(&entry.outcome.before).unwrap(), shared);
         }
         // The per-family outcomes warmed the optimize cache...
-        assert_eq!(app.runtime.outcomes().len(), 3);
+        assert_eq!(app.runtime.outcomes().stats().entries, 3);
         // ...and the repeat answers from the compare memo.
         assert_eq!(app.runtime.compares().hits(), 0);
         let hot = app.handle(&post("/compare", body));
@@ -780,7 +787,7 @@ mod tests {
         let hot = app.handle(&post("/lint", &spelled));
         assert_eq!(hot.status, 200, "{}", hot.body);
         assert_eq!(app.runtime.lints().hits(), 1);
-        assert_eq!(app.runtime.lints().len(), 1);
+        assert_eq!(app.runtime.lints().stats().entries, 1);
         let a: cme_api::LintOutcome = serde_json::from_str(&cold.body).unwrap();
         let b: cme_api::LintOutcome = serde_json::from_str(&hot.body).unwrap();
         assert_eq!(a.without_timing(), b.without_timing());

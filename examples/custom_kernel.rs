@@ -5,10 +5,10 @@
 //! cargo run --release --example custom_kernel
 //! ```
 
+use cme_suite::analysis::rectangular_tiling_legality;
 use cme_suite::cme::equations::CmeEquations;
 use cme_suite::cme::{CacheSpec, CmeModel};
 use cme_suite::loopnest::builder::{sub, NestBuilder};
-use cme_suite::loopnest::deps::rectangular_tiling_legality;
 use cme_suite::loopnest::{display, MemoryLayout};
 use cme_suite::tileopt::TilingOptimizer;
 

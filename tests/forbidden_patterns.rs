@@ -23,6 +23,7 @@ const REQUEST_PATH_FILES: &[(&str, &str)] = &[
     ("crates/runtime/src/displacement.rs", "DisplacementCache"),
     ("crates/runtime/src/flight.rs", "Singleflight"),
     ("crates/runtime/src/lru.rs", "Lru"),
+    ("crates/runtime/src/memo.rs", "Memo"),
     ("crates/runtime/src/outcome.rs", "TieredOutcomeCache"),
     ("crates/runtime/src/persist.rs", "DiskTier"),
 ];

@@ -116,7 +116,7 @@ fn full_figure_config_set_builds_and_validates() {
             let nest = cfg.build();
             nest.validate().unwrap_or_else(|e| panic!("{}: {e}", cfg.sized_name));
             assert!(
-                cme_suite::loopnest::deps::rectangular_tiling_legality(&nest).is_legal(),
+                cme_suite::analysis::rectangular_tiling_legality(&nest).is_legal(),
                 "{} must be tileable",
                 cfg.sized_name
             );
