@@ -4,9 +4,9 @@
 //!
 //! The paper's contribution is one idea — minimise CME-predicted
 //! replacement misses over a transform space — but the underlying crates
-//! grew four differently-shaped entry points (tiling, padding,
-//! interchange, exhaustive/baseline sweeps). This crate redesigns the
-//! public surface around three pieces:
+//! grew differently-shaped entry points (tiling, padding, interchange,
+//! exhaustive/baseline sweeps, oblivious and latency derivations). This
+//! crate puts one public surface over them, in three pieces:
 //!
 //! * **Requests** ([`OptimizeRequest`], [`AnalyzeRequest`]): plain values
 //!   that round-trip losslessly through JSON. A request carries its nest
@@ -14,10 +14,10 @@
 //!   configuration, GA parameters (including the seed) and a
 //!   [`StrategySpec`] selector — everything needed to reproduce a search
 //!   bit-for-bit.
-//! * **Strategies** ([`SearchStrategy`]): one trait,
-//!   `search(&Problem) -> Result<Outcome, ApiError>`, with adapters for
-//!   all five search families. New strategies plug in without touching
-//!   callers.
+//! * **One dispatcher** ([`search`]): one `match` over [`StrategySpec`],
+//!   gated by one capability table ([`StrategySpec::needs`]) that decides
+//!   which nests each family can take — the source of every
+//!   box-only 400 and tiling-legality 422.
 //! * **Sessions** ([`Session`]): the execution seam. `run` for one
 //!   request, `run_batch` for a rayon-parallel batch with
 //!   order-preserving, bit-deterministic results — the interface a
@@ -60,7 +60,7 @@ pub use request::{
     OptimizeRequest, PaddingMode, StrategySpec,
 };
 pub use session::{Session, SessionBuilder};
-pub use strategy::{build_strategy, SearchStrategy};
+pub use strategy::{search, Needs, FAMILIES};
 
 // Re-exported so API consumers can name every type a request or outcome
 // embeds without depending on the whole workspace.
@@ -126,29 +126,32 @@ mod tests {
 
     #[test]
     fn triangular_incapable_paths_reject_uniformly() {
-        // Every path that cannot handle a non-rectangular iteration
-        // space answers a structured BadRequest (a 400 at the serve
-        // layer) whose wording leads with the source context — never a
-        // panic, never a silent hull-based answer.
+        // Every box-only row of the capability table answers a structured
+        // BadRequest (a 400 at the serve layer) whose wording leads with
+        // the source context and names the capability and the families
+        // that can take the nest — never a panic, never a silent
+        // hull-based answer.
         let nest = triangular_inline();
-        let incapable = [
-            StrategySpec::Padding { mode: PaddingMode::Pad },
-            StrategySpec::Padding { mode: PaddingMode::PadThenTile },
-            StrategySpec::Padding { mode: PaddingMode::Joint },
-            StrategySpec::Interchange,
-            StrategySpec::Exhaustive { step: 1, max_evals: 100_000 },
-        ];
-        for spec in incapable {
+        let message = |source: &str, capability: &str| {
+            format!(
+                "{source}: the {capability} supports rectangular loop bounds only, but this nest \
+                 has affine (triangular) bounds — use the tiling, baseline, oblivious or latency \
+                 families"
+            )
+        };
+        let mut gated = 0;
+        for spec in FAMILIES {
+            let Some(capability) = spec.needs().box_only else { continue };
+            gated += 1;
             let req = OptimizeRequest::new(NestSource::inline(nest.clone()), spec.clone())
                 .with_cache(CacheSpec::direct_mapped(1024, 32));
-            match Session::default().run(&req) {
-                Err(ApiError::BadRequest(msg)) => {
-                    assert!(msg.starts_with("inline nest `tri`: "), "{spec:?}: {msg}");
-                    assert!(msg.contains("rectangular loop bounds only"), "{spec:?}: {msg}");
-                }
-                other => panic!("{spec:?}: expected BadRequest, got {other:?}"),
-            }
+            assert_eq!(
+                Session::default().run(&req),
+                Err(ApiError::BadRequest(message("inline nest `tri`", capability))),
+                "{spec:?}"
+            );
         }
+        assert_eq!(gated, 5, "three padding modes, interchange and the exhaustive sweep");
         // Registry-sourced triangular nests lead with the kernel context,
         // matching `nest_error_wording_is_uniform_across_sources`.
         let req = OptimizeRequest::new(
@@ -156,24 +159,19 @@ mod tests {
             StrategySpec::Interchange,
         )
         .with_cache(CacheSpec::direct_mapped(1024, 32));
-        match Session::default().run(&req) {
-            Err(ApiError::BadRequest(msg)) => {
-                assert!(msg.starts_with("kernel `TRSOLVE`: "), "{msg}");
-                assert!(msg.contains("rectangular loop bounds only"), "{msg}");
-            }
-            other => panic!("expected BadRequest, got {other:?}"),
-        }
+        assert_eq!(
+            Session::default().run(&req),
+            Err(ApiError::BadRequest(message("kernel `TRSOLVE`", "interchange search")))
+        );
     }
 
     #[test]
     fn triangular_capable_families_still_run() {
-        // The non-gated families handle the triangular space end to end.
-        for spec in [
-            StrategySpec::Tiling,
-            StrategySpec::CacheOblivious,
-            StrategySpec::LatencyBased,
-            StrategySpec::Baseline { kind: BaselineKind::LrwSquare },
-        ] {
+        // Every row of the capability table without a box-only gate
+        // handles the triangular space end to end.
+        let mut capable = 0;
+        for spec in FAMILIES.into_iter().filter(|spec| spec.needs().box_only.is_none()) {
+            capable += 1;
             let req = OptimizeRequest::new(NestSource::inline(triangular_inline()), spec.clone())
                 .with_cache(CacheSpec::direct_mapped(1024, 32))
                 .with_seed(3);
@@ -183,6 +181,7 @@ mod tests {
                 "{spec:?} must not hurt the triangular nest"
             );
         }
+        assert_eq!(capable, 6, "tiling, three baselines, oblivious and latency");
     }
 
     #[test]

@@ -32,8 +32,8 @@ impl Transform {
     }
 }
 
-/// What a [`crate::SearchStrategy`] produced: the chosen transform, the
-/// CME estimates on both sides of it, and the search telemetry.
+/// What [`crate::search`] produced: the chosen transform, the CME
+/// estimates on both sides of it, and the search telemetry.
 ///
 /// `PartialEq` compares every field *including* `wall_ms`; two outcomes
 /// of the same deterministic request differ only there, so compare
@@ -59,8 +59,9 @@ pub struct Outcome {
     /// (interchange) or tile vectors evaluated (exhaustive).
     pub explored: Option<u64>,
     /// Dependence-analysis digest of the *original* nest (carried /
-    /// loop-independent dependence counts, tiling legality). Stamped by
-    /// [`crate::Session::run`]; absent in pre-analysis outcomes.
+    /// loop-independent dependence counts, tiling legality), from the
+    /// same analysis [`crate::search`] gates on; absent in pre-analysis
+    /// outcomes.
     #[serde(skip_serializing_if = "Option::is_none")]
     pub legality: Option<LegalitySummary>,
     /// Wall-clock time of the search in milliseconds.

@@ -1,11 +1,8 @@
-//! The resolved search problem handed to every strategy.
+//! The resolved search problem handed to [`crate::search`].
 
 use crate::error::ApiError;
 use crate::request::OptimizeRequest;
-use cme_core::{
-    CacheHierarchy, CacheSpec, CmeModel, EvalEngine, MissEstimate, SamplingConfig,
-    SharedDisplacements,
-};
+use cme_core::{CacheHierarchy, SamplingConfig, SharedDisplacements};
 use cme_ga::GaConfig;
 use cme_loopnest::{LoopNest, MemoryLayout};
 
@@ -19,8 +16,7 @@ pub fn validate_cache(cache: &CacheHierarchy) -> Result<(), ApiError> {
 }
 
 /// An [`OptimizeRequest`] with its nest source resolved and the default
-/// layout materialised: the single input type of
-/// [`crate::SearchStrategy::search`].
+/// layout materialised: the single input type of [`crate::search`].
 #[derive(Debug, Clone)]
 pub struct Problem {
     pub nest: LoopNest,
@@ -59,55 +55,5 @@ impl Problem {
             displacements: None,
             source: req.nest.label(),
         })
-    }
-
-    /// Gate for triangular-incapable paths: `Ok` on rectangular nests,
-    /// otherwise a [`ApiError::BadRequest`] whose wording follows the
-    /// uniform source convention (``kernel `X`: …`` / ``inline nest
-    /// `X`: …``) — callers pass the capability name (e.g. "padding
-    /// search").
-    pub fn require_rectangular(&self, what: &str) -> Result<(), ApiError> {
-        if self.nest.is_rectangular() {
-            return Ok(());
-        }
-        Err(ApiError::BadRequest(format!(
-            "{}: the {what} supports rectangular loop bounds only, but this nest has affine \
-             (triangular) bounds — use the tiling, baseline, oblivious or latency families",
-            self.source
-        )))
-    }
-
-    /// The innermost (L1) geometry — what the single-level baseline
-    /// heuristics consume.
-    pub fn l1(&self) -> CacheSpec {
-        self.hierarchy.l1()
-    }
-
-    /// The innermost level's CME model.
-    pub fn model(&self) -> CmeModel {
-        CmeModel::new(self.l1())
-    }
-
-    /// Build this problem's shared evaluation engine — one per strategy
-    /// run; every candidate the search evaluates borrows its precomputed
-    /// per-kernel, per-level analysis (and its before/after estimates come
-    /// from the same state).
-    pub fn engine(&self) -> EvalEngine {
-        EvalEngine::new_hierarchy_shared(
-            &self.hierarchy,
-            &self.nest,
-            &self.layout,
-            self.sampling,
-            self.ga.seed,
-            self.displacements.as_ref().map(SharedDisplacements::provider),
-        )
-    }
-
-    /// Canonical estimate of the untransformed nest (the `before` of
-    /// every outcome) — hierarchy-aware, from a fresh engine. Strategies
-    /// that already hold an engine call `engine.estimate_canonical(None)`
-    /// directly; this is the standalone convenience form.
-    pub fn baseline_estimate(&self) -> MissEstimate {
-        self.engine().estimate_canonical(None)
     }
 }

@@ -106,7 +106,8 @@ pub enum EstimatorSpec {
 }
 
 /// Which search to run over the transform space — the strategy selector
-/// resolved by [`crate::strategy::build_strategy`].
+/// [`crate::search`] dispatches on. What each family needs from the nest
+/// is its row of the capability table, [`StrategySpec::needs`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum StrategySpec {
     /// §3: GA tile-size search.
@@ -157,26 +158,19 @@ impl StrategySpec {
     /// `padding[:then-tile|:joint]`, `baseline:lrw|tss|fixed-fraction`,
     /// and `exhaustive` (paper-scale defaults: step 1, 100 000 evals).
     pub fn parse_token(s: &str) -> Result<StrategySpec, ApiError> {
-        match s {
-            "ga" | "tiling" => Ok(StrategySpec::Tiling),
-            "oblivious" | "cache-oblivious" => Ok(StrategySpec::CacheOblivious),
-            "latency" | "latency-based" => Ok(StrategySpec::LatencyBased),
-            "interchange" => Ok(StrategySpec::Interchange),
-            "padding" => Ok(StrategySpec::Padding { mode: PaddingMode::Pad }),
-            "padding:then-tile" => Ok(StrategySpec::Padding { mode: PaddingMode::PadThenTile }),
-            "padding:joint" => Ok(StrategySpec::Padding { mode: PaddingMode::Joint }),
-            "exhaustive" => Ok(StrategySpec::Exhaustive { step: 1, max_evals: 100_000 }),
-            "baseline:lrw" => Ok(StrategySpec::Baseline { kind: BaselineKind::LrwSquare }),
-            "baseline:tss" => Ok(StrategySpec::Baseline { kind: BaselineKind::Tss }),
-            "baseline:fixed-fraction" => {
-                Ok(StrategySpec::Baseline { kind: BaselineKind::FixedFraction { fraction: 0.5 } })
-            }
-            other => Err(ApiError::BadRequest(format!(
-                "unknown strategy token `{other}` (expected one of ga, tiling, oblivious, \
+        let name = match s {
+            "ga" => "tiling",
+            "cache-oblivious" => "oblivious",
+            "latency-based" => "latency",
+            other => other,
+        };
+        crate::strategy::FAMILIES.into_iter().find(|spec| spec.name() == name).ok_or_else(|| {
+            ApiError::BadRequest(format!(
+                "unknown strategy token `{s}` (expected one of ga, tiling, oblivious, \
                  latency, interchange, padding, padding:then-tile, padding:joint, exhaustive, \
                  baseline:lrw, baseline:tss, baseline:fixed-fraction)"
-            ))),
-        }
+            ))
+        })
     }
 }
 
@@ -312,18 +306,20 @@ pub struct CompareRequest {
 }
 
 impl CompareRequest {
-    /// The default tournament: GA tiling vs cache-oblivious vs
-    /// latency-based vs the LRW baseline.
+    /// A tournament over [`Self::default_strategies`].
     pub fn new(base: OptimizeRequest) -> Self {
-        CompareRequest {
-            base,
-            strategies: vec![
-                StrategySpec::Tiling,
-                StrategySpec::CacheOblivious,
-                StrategySpec::LatencyBased,
-                StrategySpec::Baseline { kind: BaselineKind::LrwSquare },
-            ],
-        }
+        CompareRequest { base, strategies: CompareRequest::default_strategies() }
+    }
+
+    /// The default line-up: GA tiling vs cache-oblivious vs latency-based
+    /// vs the LRW baseline.
+    pub fn default_strategies() -> Vec<StrategySpec> {
+        vec![
+            StrategySpec::Tiling,
+            StrategySpec::CacheOblivious,
+            StrategySpec::LatencyBased,
+            StrategySpec::Baseline { kind: BaselineKind::LrwSquare },
+        ]
     }
 
     /// Replace the line-up (builder style, mirrors the other requests).
@@ -335,5 +331,14 @@ impl CompareRequest {
     /// The per-family optimize request for entrant `k`.
     pub fn entrant(&self, k: usize) -> OptimizeRequest {
         OptimizeRequest { strategy: self.strategies[k].clone(), ..self.base.clone() }
+    }
+
+    /// Every entrant's optimize request, in line-up order; an empty
+    /// line-up is a bad request.
+    pub fn entrants(&self) -> Result<Vec<OptimizeRequest>, ApiError> {
+        if self.strategies.is_empty() {
+            return Err(ApiError::BadRequest("compare request needs at least one strategy".into()));
+        }
+        Ok((0..self.strategies.len()).map(|k| self.entrant(k)).collect())
     }
 }

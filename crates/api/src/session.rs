@@ -6,7 +6,6 @@ use crate::error::ApiError;
 use crate::outcome::{AnalyzeOutcome, CompareOutcome, LintOutcome, Outcome};
 use crate::problem::Problem;
 use crate::request::{AnalyzeRequest, CompareRequest, LintRequest, OptimizeRequest};
-use crate::strategy::build_strategy;
 use cme_core::{DisplacementProvider, EvalEngine, SharedDisplacements};
 use cme_loopnest::MemoryLayout;
 use rayon::prelude::*;
@@ -65,15 +64,13 @@ impl Session {
         SessionBuilder { parallel: true, displacements: None }
     }
 
-    /// Run one optimisation request through its selected strategy. The
+    /// Run one optimisation request through [`crate::search`]. The
     /// outcome carries the dependence-analysis digest of the original
     /// nest in [`Outcome::legality`].
     pub fn run(&self, req: &OptimizeRequest) -> Result<Outcome, ApiError> {
         let mut problem = Problem::from_request(req)?;
         problem.displacements = self.displacements.clone();
-        let mut outcome = build_strategy(&req.strategy).search(&problem)?;
-        outcome.legality = Some(cme_analysis::legality_summary(&problem.nest));
-        Ok(outcome)
+        crate::strategy::search(&req.strategy, &problem)
     }
 
     /// Run a batch of independent requests, in parallel unless the session
@@ -97,15 +94,7 @@ impl Session {
     /// a ranking over half a line-up would be misleading.
     pub fn compare(&self, req: &CompareRequest) -> Result<CompareOutcome, ApiError> {
         let started = Instant::now();
-        if req.strategies.is_empty() {
-            return Err(ApiError::BadRequest("compare request needs at least one strategy".into()));
-        }
-        let entrants: Vec<OptimizeRequest> =
-            (0..req.strategies.len()).map(|k| req.entrant(k)).collect();
-        let mut outcomes = Vec::with_capacity(entrants.len());
-        for result in self.run_batch(&entrants) {
-            outcomes.push(result?);
-        }
+        let outcomes = self.run_batch(&req.entrants()?).into_iter().collect::<Result<_, _>>()?;
         Ok(CompareOutcome::rank(outcomes, started.elapsed().as_millis() as u64))
     }
 

@@ -1,352 +1,245 @@
-//! The polymorphic search-strategy layer: one trait, seven families.
+//! The search dispatcher: one capability table, one `match`.
 //!
 //! Every optimiser in the suite — §3 GA tiling, §4.3 GA padding (plain,
 //! then-tile, joint), the interchange extension, the exhaustive oracle,
 //! the §5 related-work baselines, the PCOT-style cache-oblivious
-//! derivation and Cashman-style latency-based probing — is adapted here
-//! to one signature over
-//! one problem type, returning one outcome type. Search strategy becomes a
-//! *value* (see [`StrategySpec`]): serialisable, selectable per request,
-//! and open for extension by implementing [`SearchStrategy`] downstream.
+//! derivation and Cashman-style latency-based probing — runs through
+//! [`search`] over one problem type and returns one outcome type. What a
+//! family can take is declared once, in [`StrategySpec::needs`]: every
+//! capability 400 and tiling-legality 422 is read off that table, before
+//! the family's own search starts.
 
 use crate::error::ApiError;
 use crate::outcome::{Outcome, Transform};
 use crate::problem::Problem;
 use crate::request::{BaselineKind, PaddingMode, StrategySpec};
-use cme_analysis::rectangular_tiling_legality;
-use cme_loopnest::deps::TilingLegality;
+use cme_analysis::legality::tiling_reason;
+use cme_analysis::{analyze, summarize, tiling_violation};
+use cme_core::MissEstimate;
 use cme_loopnest::TileSizes;
-use cme_tileopt::problem::GaSummary;
 use cme_tileopt::{
-    baselines, exhaustive_search_on, optimize_with_interchange, PaddingOptimizer, TilingOptimizer,
+    baselines, exhaustive_search_on, optimize_with_interchange, PaddingOptimizer, PaddingSpace,
+    TilingOptimizer,
 };
 use std::time::Instant;
 
-/// A search over the transform space of a [`Problem`], minimising
-/// CME-predicted replacement misses.
-pub trait SearchStrategy: Sync {
-    /// Stable identifier recorded in [`Outcome::strategy`].
-    fn name(&self) -> String;
+/// Every family, once, with the [`StrategySpec::parse_token`] defaults
+/// for its parameters — the rows of the capability table.
+pub const FAMILIES: [StrategySpec; 11] = [
+    StrategySpec::Tiling,
+    StrategySpec::Padding { mode: PaddingMode::Pad },
+    StrategySpec::Padding { mode: PaddingMode::PadThenTile },
+    StrategySpec::Padding { mode: PaddingMode::Joint },
+    StrategySpec::Interchange,
+    StrategySpec::Exhaustive { step: 1, max_evals: 100_000 },
+    StrategySpec::Baseline { kind: BaselineKind::LrwSquare },
+    StrategySpec::Baseline { kind: BaselineKind::Tss },
+    StrategySpec::Baseline { kind: BaselineKind::FixedFraction { fraction: 0.5 } },
+    StrategySpec::CacheOblivious,
+    StrategySpec::LatencyBased,
+];
 
-    /// Run the search.
-    fn search(&self, problem: &Problem) -> Result<Outcome, ApiError>;
+/// One row of the capability table: what a family needs from the nest
+/// before its search may start.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Needs {
+    /// The capability name of a family that reasons over whole boxes and
+    /// so takes rectangular loop bounds only; an affine (triangular) nest
+    /// answers a 400 naming it. `None`: affine bounds are fine.
+    pub box_only: Option<&'static str>,
+    /// The family emits a rectangular tiling, so a nest whose dependences
+    /// forbid one answers a 422 before any search.
+    pub tileable: bool,
 }
 
-/// Resolve a serialisable strategy selector into a runnable strategy.
-pub fn build_strategy(spec: &StrategySpec) -> Box<dyn SearchStrategy> {
-    match spec {
-        StrategySpec::Tiling => Box::new(TilingStrategy),
-        StrategySpec::Padding { mode } => Box::new(PaddingStrategy { mode: *mode }),
-        StrategySpec::Interchange => Box::new(InterchangeStrategy),
-        StrategySpec::Exhaustive { step, max_evals } => {
-            Box::new(ExhaustiveStrategy { step: *step, max_evals: *max_evals })
+impl StrategySpec {
+    /// This family's row of the capability table.
+    pub fn needs(&self) -> Needs {
+        let (box_only, tileable) = match self {
+            StrategySpec::Tiling | StrategySpec::Baseline { .. } | StrategySpec::LatencyBased => {
+                (None, true)
+            }
+            // Blocks only the dimensions no dependence reverses: legal by
+            // construction.
+            StrategySpec::CacheOblivious => (None, false),
+            // Padding GAs size their search space from rectangular array
+            // extents; a triangular nest would be scored against a layout
+            // family it never uses.
+            StrategySpec::Padding { mode: PaddingMode::Pad } => (Some("padding search"), false),
+            StrategySpec::Padding { .. } => (Some("padding search"), true),
+            // Permuting loops whose bounds reference outer induction
+            // variables is not a plain reorder. The search tries every
+            // legal order and answers its own 422 when none tiles.
+            StrategySpec::Interchange => (Some("interchange search"), false),
+            // The sweep's eval budget and landscape are declared over the
+            // rectangular hull.
+            StrategySpec::Exhaustive { .. } => (Some("exhaustive tile sweep"), true),
+        };
+        Needs { box_only, tileable }
+    }
+}
+
+/// The families that take affine bounds, as the box-only 400 suggests
+/// them: each name up to its `:`, in table order, without repeats.
+fn affine_capable_families() -> String {
+    let mut names: Vec<String> = Vec::new();
+    for spec in FAMILIES.iter().filter(|spec| spec.needs().box_only.is_none()) {
+        let name = spec.name();
+        let family = name.split(':').next().unwrap_or(&name).to_string();
+        if !names.contains(&family) {
+            names.push(family);
         }
-        StrategySpec::Baseline { kind } => Box::new(BaselineStrategy { kind: *kind }),
-        StrategySpec::CacheOblivious => Box::new(CacheObliviousStrategy),
-        StrategySpec::LatencyBased => Box::new(LatencyBasedStrategy),
+    }
+    match names.split_last() {
+        Some((last, [])) => last.clone(),
+        Some((last, rest)) => format!("{} or {last}", rest.join(", ")),
+        None => String::new(),
     }
 }
 
-/// Common outcome scaffolding: stamps identity, timing and telemetry.
-struct OutcomeBuilder<'a> {
-    problem: &'a Problem,
-    strategy: String,
-    started: Instant,
-}
-
-impl<'a> OutcomeBuilder<'a> {
-    fn new(strategy: &dyn SearchStrategy, problem: &'a Problem) -> Self {
-        OutcomeBuilder { problem, strategy: strategy.name(), started: Instant::now() }
+/// Run the search `spec` selects over `problem`, minimising CME-predicted
+/// replacement misses. Five steps, in order: the box-only gate, one
+/// dependence analysis of the nest, the tileable gate on that analysis,
+/// the family's search, and one [`Outcome`] whose `legality` digests the
+/// same analysis.
+pub fn search(spec: &StrategySpec, problem: &Problem) -> Result<Outcome, ApiError> {
+    let started = Instant::now();
+    let nest = &problem.nest;
+    let needs = spec.needs();
+    if let (Some(capability), false) = (needs.box_only, nest.is_rectangular()) {
+        return Err(ApiError::BadRequest(format!(
+            "{}: the {capability} supports rectangular loop bounds only, but this nest has affine \
+             (triangular) bounds — use the {} families",
+            problem.source,
+            affine_capable_families()
+        )));
     }
-
-    fn finish(
-        self,
-        transform: Transform,
-        before: cme_core::MissEstimate,
-        after: cme_core::MissEstimate,
-        ga: Option<GaSummary>,
-        explored: Option<u64>,
-    ) -> Outcome {
-        Outcome {
-            strategy: self.strategy,
-            kernel: self.problem.nest.name.clone(),
-            cache: self.problem.hierarchy.clone(),
-            transform,
-            before,
-            after,
-            ga,
-            explored,
-            legality: None,
-            wall_ms: self.started.elapsed().as_millis() as u64,
+    let analysis = analyze(nest);
+    if needs.tileable {
+        if let Some(violation) = tiling_violation(&analysis) {
+            return Err(ApiError::IllegalTransform(format!(
+                "tiling `{}` is illegal: {}",
+                nest.name,
+                tiling_reason(nest, &violation)
+            )));
         }
     }
-}
 
-fn tiling_optimizer(problem: &Problem) -> TilingOptimizer {
-    TilingOptimizer {
+    let tiler = TilingOptimizer {
         hierarchy: problem.hierarchy.clone(),
         sampling: problem.sampling,
         ga: problem.ga,
         provider: problem.displacements.clone(),
-    }
-}
-
-fn padding_optimizer(problem: &Problem) -> PaddingOptimizer {
-    let mut opt = PaddingOptimizer::for_hierarchy(problem.hierarchy.clone());
-    opt.sampling = problem.sampling;
-    opt.ga = problem.ga;
-    opt.provider = problem.displacements.clone();
-    opt
-}
-
-fn require_tileable(problem: &Problem) -> Result<(), ApiError> {
-    if let TilingLegality::Illegal { reason } = rectangular_tiling_legality(&problem.nest) {
-        return Err(ApiError::IllegalTransform(format!(
-            "tiling `{}` is illegal: {reason}",
-            problem.nest.name
-        )));
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// §3: GA tile-size search
-// ---------------------------------------------------------------------------
-
-pub struct TilingStrategy;
-
-impl SearchStrategy for TilingStrategy {
-    fn name(&self) -> String {
-        StrategySpec::Tiling.name()
-    }
-
-    fn search(&self, problem: &Problem) -> Result<Outcome, ApiError> {
-        let b = OutcomeBuilder::new(self, problem);
-        let out = tiling_optimizer(problem)
-            .optimize(&problem.nest, &problem.layout)
-            .map_err(ApiError::IllegalTransform)?;
-        // `out.before` uses the canonical seeding (TilingObjective::
-        // estimate_untiled == Problem::baseline_estimate), so every
-        // strategy family reports an identical baseline for the same
-        // request and no re-estimation is needed here.
-        Ok(b.finish(Transform::tiles(out.tiles), out.before, out.after, Some(out.ga), None))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// §4.3: GA padding search (three modes)
-// ---------------------------------------------------------------------------
-
-pub struct PaddingStrategy {
-    pub mode: PaddingMode,
-}
-
-impl SearchStrategy for PaddingStrategy {
-    fn name(&self) -> String {
-        StrategySpec::Padding { mode: self.mode }.name()
-    }
-
-    fn search(&self, problem: &Problem) -> Result<Outcome, ApiError> {
-        // Padding GAs size their search space from rectangular array
-        // extents; a triangular nest would be scored against a layout
-        // family it never uses.
-        problem.require_rectangular("padding search")?;
-        let b = OutcomeBuilder::new(self, problem);
-        let opt = padding_optimizer(problem);
-        // The optimisers' `original`/`before` fields use the canonical
-        // seeding (CmeModel::estimate_nest), so they equal
-        // Problem::baseline_estimate for this request — reused directly.
-        match self.mode {
-            PaddingMode::Pad => {
-                let out = opt.optimize(&problem.nest);
-                let transform = Transform { pads: Some(out.values), ..Transform::default() };
-                Ok(b.finish(transform, out.original, out.padded, Some(out.ga), None))
-            }
-            PaddingMode::PadThenTile => {
-                let out =
-                    opt.optimize_then_tile(&problem.nest).map_err(ApiError::IllegalTransform)?;
-                let tiled = out.tiled.expect("optimize_then_tile always tiles");
-                let transform = Transform {
-                    pads: Some(out.values),
-                    tiles: Some(tiled.tiles),
-                    permutation: None,
-                };
-                Ok(b.finish(transform, out.original, tiled.after, Some(tiled.ga), None))
-            }
-            PaddingMode::Joint => {
-                let out =
-                    opt.optimize_joint_full(&problem.nest).map_err(ApiError::IllegalTransform)?;
-                let transform =
-                    Transform { pads: Some(out.pads), tiles: Some(out.tiles), permutation: None };
-                Ok(b.finish(transform, out.before, out.after, Some(out.ga), None))
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Extension: legal permutations × GA tiling
-// ---------------------------------------------------------------------------
-
-pub struct InterchangeStrategy;
-
-impl SearchStrategy for InterchangeStrategy {
-    fn name(&self) -> String {
-        StrategySpec::Interchange.name()
-    }
-
-    fn search(&self, problem: &Problem) -> Result<Outcome, ApiError> {
-        // Permuting loops whose bounds reference outer induction
-        // variables is not a plain reorder (the bounds would have to be
-        // re-derived); refuse rather than emit an illegal permutation.
-        problem.require_rectangular("interchange search")?;
-        let b = OutcomeBuilder::new(self, problem);
-        // `before` is the *source order* untiled — the interchange search
-        // itself reports its best permutation's estimates (each legal
-        // permutation gets its own engine: the analysis is per-order).
-        let before = problem.baseline_estimate();
-        let out = optimize_with_interchange(&tiling_optimizer(problem), &problem.nest)
-            .map_err(ApiError::IllegalTransform)?;
-        let transform = Transform {
-            permutation: Some(out.permutation),
-            tiles: Some(out.tiling.tiles),
-            pads: None,
-        };
-        Ok(b.finish(
-            transform,
-            before,
-            out.tiling.after,
-            Some(out.tiling.ga),
-            Some(out.explored as u64),
-        ))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Ground truth: exhaustive tile sweep
-// ---------------------------------------------------------------------------
-
-pub struct ExhaustiveStrategy {
-    pub step: i64,
-    pub max_evals: u64,
-}
-
-impl SearchStrategy for ExhaustiveStrategy {
-    fn name(&self) -> String {
-        StrategySpec::Exhaustive { step: self.step, max_evals: self.max_evals }.name()
-    }
-
-    fn search(&self, problem: &Problem) -> Result<Outcome, ApiError> {
-        // The sweep's eval budget and landscape are declared over the
-        // rectangular hull; on a triangular space the "ground truth"
-        // label would be a misdeclaration.
-        problem.require_rectangular("exhaustive tile sweep")?;
-        let b = OutcomeBuilder::new(self, problem);
-        require_tileable(problem)?;
-        // One shared engine: the whole sweep, the baseline and the final
-        // estimate borrow the same per-kernel analysis.
-        let engine = problem.engine();
-        let res =
-            exhaustive_search_on(&engine, self.step, self.max_evals).map_err(ApiError::TooLarge)?;
-        let before = engine.estimate_canonical(None);
-        let after = engine.estimate_canonical(Some(&res.best_tiles));
-        let explored = res.landscape.len() as u64;
-        Ok(b.finish(Transform::tiles(res.best_tiles), before, after, None, Some(explored)))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// §5 related-work heuristics
-// ---------------------------------------------------------------------------
-
-pub struct BaselineStrategy {
-    pub kind: BaselineKind,
-}
-
-impl SearchStrategy for BaselineStrategy {
-    fn name(&self) -> String {
-        StrategySpec::Baseline { kind: self.kind }.name()
-    }
-
-    fn search(&self, problem: &Problem) -> Result<Outcome, ApiError> {
-        let b = OutcomeBuilder::new(self, problem);
-        require_tileable(problem)?;
-        let tiles: TileSizes = match self.kind {
-            BaselineKind::LrwSquare => {
-                baselines::lrw_square(&problem.nest, &problem.layout, problem.l1())
-            }
-            BaselineKind::Tss => {
-                baselines::tss_coleman_mckinley(&problem.nest, &problem.layout, problem.l1())
-            }
-            BaselineKind::FixedFraction { fraction } => {
-                if !(fraction > 0.0 && fraction <= 1.0) {
-                    return Err(ApiError::BadRequest(format!(
-                        "fixed-fraction baseline needs a fraction in (0, 1], got {fraction}"
-                    )));
-                }
-                baselines::fixed_fraction(&problem.nest, problem.l1(), fraction)
-            }
-        };
-        tiles.validate(&problem.nest).map_err(|e| ApiError::IllegalTransform(e.to_string()))?;
-        let engine = problem.engine();
+    };
+    let padder = PaddingOptimizer {
+        hierarchy: problem.hierarchy.clone(),
+        space: PaddingSpace::default(),
+        sampling: problem.sampling,
+        ga: problem.ga,
+        provider: problem.displacements.clone(),
+    };
+    // Families that derive one tile vector score it on one fresh engine.
+    let score = |tiles: TileSizes| -> Result<(Transform, MissEstimate, MissEstimate), ApiError> {
+        tiles.validate(nest).map_err(|e| ApiError::IllegalTransform(e.to_string()))?;
+        let engine = tiler.engine(nest, &problem.layout);
         let before = engine.estimate_canonical(None);
         let after = engine.estimate_canonical(Some(&tiles));
-        Ok(b.finish(Transform::tiles(tiles), before, after, None, None))
-    }
-}
+        Ok((Transform::tiles(tiles), before, after))
+    };
 
-// ---------------------------------------------------------------------------
-// Cache-oblivious divide and conquer (PCOT-style)
-// ---------------------------------------------------------------------------
-
-/// Derives tiles from the nest alone — recursive halving of the longest
-/// legal dimension to a machine-independent base case. The request's
-/// hierarchy never reaches the derivation (`cache_oblivious_tiles` takes
-/// only the nest); it scores the result like any other family, so
-/// swapping the hierarchy changes the estimates but not the transform.
-/// Dimensions whose carried dependences forbid blocking keep their full
-/// span, so no tiling-legality gate is needed: the emitted transform is
-/// legal by construction (pinned by the legality-enforcement test).
-pub struct CacheObliviousStrategy;
-
-impl SearchStrategy for CacheObliviousStrategy {
-    fn name(&self) -> String {
-        StrategySpec::CacheOblivious.name()
-    }
-
-    fn search(&self, problem: &Problem) -> Result<Outcome, ApiError> {
-        let b = OutcomeBuilder::new(self, problem);
-        let res = cme_tileopt::cache_oblivious_tiles(&problem.nest);
-        res.tiles.validate(&problem.nest).map_err(|e| ApiError::IllegalTransform(e.to_string()))?;
-        let engine = problem.engine();
-        let before = engine.estimate_canonical(None);
-        let after = engine.estimate_canonical(Some(&res.tiles));
-        Ok(b.finish(Transform::tiles(res.tiles), before, after, None, Some(res.halvings)))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Latency-based tiling (Cashman-style miss-ratio probing)
-// ---------------------------------------------------------------------------
-
-/// Probes miss-ratio scaling on a budgeted shrunk instance through the
-/// exact simulator and fits the knee — O(probes) simulator passes
-/// instead of a GA run. `Outcome::explored` records the probe count.
-pub struct LatencyBasedStrategy;
-
-impl SearchStrategy for LatencyBasedStrategy {
-    fn name(&self) -> String {
-        StrategySpec::LatencyBased.name()
-    }
-
-    fn search(&self, problem: &Problem) -> Result<Outcome, ApiError> {
-        let b = OutcomeBuilder::new(self, problem);
-        require_tileable(problem)?;
-        let res = cme_tileopt::latency_based_tiles(&problem.nest, &problem.hierarchy);
-        res.tiles.validate(&problem.nest).map_err(|e| ApiError::IllegalTransform(e.to_string()))?;
-        let engine = problem.engine();
-        let before = engine.estimate_canonical(None);
-        let after = engine.estimate_canonical(Some(&res.tiles));
-        Ok(b.finish(Transform::tiles(res.tiles), before, after, None, Some(res.probes)))
-    }
+    // Every optimiser's `before` uses the canonical seeding
+    // (`estimate_canonical(None)`), so all families report one identical
+    // baseline for the same request.
+    let (transform, before, after, ga, explored) = match spec {
+        StrategySpec::Tiling => {
+            let out = tiler.optimize(nest, &problem.layout).map_err(ApiError::IllegalTransform)?;
+            (Transform::tiles(out.tiles), out.before, out.after, Some(out.ga), None)
+        }
+        StrategySpec::Padding { mode: PaddingMode::Pad } => {
+            let out = padder.optimize(nest);
+            let transform = Transform { pads: Some(out.values), ..Transform::default() };
+            (transform, out.original, out.padded, Some(out.ga), None)
+        }
+        StrategySpec::Padding { mode: PaddingMode::PadThenTile } => {
+            let out = padder.optimize_then_tile(nest).map_err(ApiError::IllegalTransform)?;
+            let tiled = out.tiled.expect("optimize_then_tile always tiles");
+            let transform =
+                Transform { pads: Some(out.values), tiles: Some(tiled.tiles), permutation: None };
+            (transform, out.original, tiled.after, Some(tiled.ga), None)
+        }
+        StrategySpec::Padding { mode: PaddingMode::Joint } => {
+            let out = padder.optimize_joint(nest).map_err(ApiError::IllegalTransform)?;
+            let transform =
+                Transform { pads: Some(out.pads), tiles: Some(out.tiles), permutation: None };
+            (transform, out.before, out.after, Some(out.ga), None)
+        }
+        StrategySpec::Interchange => {
+            // `before` is the *source order* untiled; each legal
+            // permutation gets its own engine, since the analysis is
+            // per order.
+            let before = tiler.engine(nest, &problem.layout).estimate_canonical(None);
+            let out =
+                optimize_with_interchange(&tiler, nest).map_err(ApiError::IllegalTransform)?;
+            let transform = Transform {
+                permutation: Some(out.permutation),
+                tiles: Some(out.tiling.tiles),
+                pads: None,
+            };
+            let explored = Some(out.explored as u64);
+            (transform, before, out.tiling.after, Some(out.tiling.ga), explored)
+        }
+        StrategySpec::Exhaustive { step, max_evals } => {
+            // The whole sweep, the baseline and the final estimate borrow
+            // one engine.
+            let engine = tiler.engine(nest, &problem.layout);
+            let res =
+                exhaustive_search_on(&engine, *step, *max_evals).map_err(ApiError::TooLarge)?;
+            let before = engine.estimate_canonical(None);
+            let after = engine.estimate_canonical(Some(&res.best_tiles));
+            let explored = Some(res.landscape.len() as u64);
+            (Transform::tiles(res.best_tiles), before, after, None, explored)
+        }
+        StrategySpec::Baseline { kind } => {
+            let l1 = problem.hierarchy.l1();
+            let tiles = match *kind {
+                BaselineKind::LrwSquare => baselines::lrw_square(nest, &problem.layout, l1),
+                BaselineKind::Tss => baselines::tss_coleman_mckinley(nest, &problem.layout, l1),
+                BaselineKind::FixedFraction { fraction } => {
+                    if !(fraction > 0.0 && fraction <= 1.0) {
+                        return Err(ApiError::BadRequest(format!(
+                            "fixed-fraction baseline needs a fraction in (0, 1], got {fraction}"
+                        )));
+                    }
+                    baselines::fixed_fraction(nest, l1, fraction)
+                }
+            };
+            let (transform, before, after) = score(tiles)?;
+            (transform, before, after, None, None)
+        }
+        // The derivation never reads the request's hierarchy: swapping it
+        // changes the scores, not the transform.
+        StrategySpec::CacheOblivious => {
+            let res = cme_tileopt::cache_oblivious_tiles(nest);
+            let (transform, before, after) = score(res.tiles)?;
+            (transform, before, after, None, Some(res.halvings))
+        }
+        // `explored` records the simulator probe count.
+        StrategySpec::LatencyBased => {
+            let res = cme_tileopt::latency_based_tiles(nest, &problem.hierarchy);
+            let (transform, before, after) = score(res.tiles)?;
+            (transform, before, after, None, Some(res.probes))
+        }
+    };
+    Ok(Outcome {
+        strategy: spec.name(),
+        kernel: nest.name.clone(),
+        cache: problem.hierarchy.clone(),
+        transform,
+        before,
+        after,
+        ga,
+        explored,
+        legality: Some(summarize(&analysis)),
+        wall_ms: started.elapsed().as_millis() as u64,
+    })
 }

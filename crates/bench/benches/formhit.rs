@@ -1,10 +1,9 @@
-//! Criterion bench: the interval-hit solver vs the modular solver vs
-//! brute-force enumeration on cache-shaped queries (§2.3's solver
-//! performance claim at micro scale).
+//! Criterion bench: the interval-hit solver vs brute-force enumeration
+//! on cache-shaped queries (§2.3's solver performance claim at micro
+//! scale).
 
-use cme_polyhedra::enumhit::{enum_interval_hit, enum_mod_hit};
+use cme_polyhedra::enumhit::enum_interval_hit;
 use cme_polyhedra::formhit::{interval_hit, Budget};
-use cme_polyhedra::modhit::mod_hit;
 use cme_polyhedra::{AffineForm, IntBox, Interval};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -72,42 +71,6 @@ fn bench_formhit(c: &mut Criterion) {
             let mut hits = 0;
             for w in &swindows {
                 if enum_interval_hit(black_box(&sform), black_box(&sbx), *w) {
-                    hits += 1;
-                }
-            }
-            hits
-        })
-    });
-
-    // Modular set-mapping variant (2-D form, no wrap variable).
-    let mform = AffineForm::new(vec![4, 72], 0);
-    let mbx = IntBox::new(vec![Interval::new(0, 15), Interval::new(0, 11)]);
-    c.bench_function("formhit/mod_hit/small_16sets", |b| {
-        b.iter(|| {
-            let mut hits = 0;
-            for s in 0..16i64 {
-                if mod_hit(
-                    black_box(&mform),
-                    black_box(&mbx),
-                    512,
-                    Interval::new(s * 16, s * 16 + 15),
-                ) {
-                    hits += 1;
-                }
-            }
-            hits
-        })
-    });
-    c.bench_function("formhit/mod_enum/small_16sets", |b| {
-        b.iter(|| {
-            let mut hits = 0;
-            for s in 0..16i64 {
-                if enum_mod_hit(
-                    black_box(&mform),
-                    black_box(&mbx),
-                    512,
-                    Interval::new(s * 16, s * 16 + 15),
-                ) {
                     hits += 1;
                 }
             }

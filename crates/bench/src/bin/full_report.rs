@@ -222,7 +222,8 @@ fn main() {
             cme_core::SamplingConfig::paper(),
             1,
             1_000_000,
-        );
+        )
+        .expect("sweep within cap");
         let opt = cme_tileopt::TilingOptimizer::new(cache);
         let out = opt.optimize(&nest, &layout).expect("legal");
         let acc = nest.accesses() as f64;

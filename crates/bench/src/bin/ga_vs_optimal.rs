@@ -27,7 +27,8 @@ fn main() {
             let layout = MemoryLayout::contiguous(&nest);
             let cache = cme_core::CacheSpec::direct_mapped(cache_bytes, 32);
             let exact =
-                exhaustive_search(&nest, &layout, cache, SamplingConfig::paper(), 1, 3_000_000);
+                exhaustive_search(&nest, &layout, cache, SamplingConfig::paper(), 1, 3_000_000)
+                    .expect("sweep within cap");
             let mut opt = TilingOptimizer::new(cache);
             opt.ga = GaConfig { seed: cme_bench::seed_for(&nest.name), ..GaConfig::default() };
             let out = opt.optimize(&nest, &layout).expect("legal");

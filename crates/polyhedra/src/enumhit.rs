@@ -1,8 +1,8 @@
-//! Brute-force enumeration oracles.
+//! Brute-force enumeration oracle.
 //!
 //! These are the "naive" baselines: exact but exponential in box volume.
 //! They serve two purposes: (1) ground truth for property tests of the fast
-//! solvers, (2) the baseline of the paper's §2.3 solver speed-up claim
+//! solver, (2) the baseline of the paper's §2.3 solver speed-up claim
 //! (the paper reports ≈ 20× over a vertex-based method; we benchmark our
 //! solver against plain enumeration in `cme-bench`).
 
@@ -18,43 +18,6 @@ pub fn enum_interval_hit(form: &AffineForm, b: &IntBox, window: Interval) -> boo
     b.iter_points().any(|p| window.contains(form.eval(&p)))
 }
 
-/// Exhaustively count `|{ x ∈ b : form(x) ∈ window }|`.
-pub fn enum_interval_count(form: &AffineForm, b: &IntBox, window: Interval) -> u64 {
-    if b.is_empty() || window.is_empty() {
-        return 0;
-    }
-    b.iter_points().filter(|p| window.contains(form.eval(p))).count() as u64
-}
-
-/// Exhaustively decide `∃ x ∈ b : form(x) mod m ∈ window` (`window`
-/// interpreted within `[0, m)`).
-pub fn enum_mod_hit(form: &AffineForm, b: &IntBox, m: i64, window: Interval) -> bool {
-    debug_assert!(m > 0);
-    if b.is_empty() || window.is_empty() {
-        return false;
-    }
-    b.iter_points().any(|p| window.contains(form.eval(&p).rem_euclid(m)))
-}
-
-/// Collect the distinct values of `(form(x) - base).div_euclid(m)` over the
-/// box for points whose residue falls in `window` — used as the oracle for
-/// distinct-conflicting-line counting in set-associative analysis.
-pub fn enum_distinct_quotients(
-    form: &AffineForm,
-    b: &IntBox,
-    m: i64,
-    window: Interval,
-) -> Vec<i64> {
-    let mut out = std::collections::BTreeSet::new();
-    for p in b.iter_points() {
-        let v = form.eval(&p);
-        if window.contains(v.rem_euclid(m)) {
-            out.insert(v.div_euclid(m));
-        }
-    }
-    out.into_iter().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -66,23 +29,6 @@ mod tests {
         // Values: 3x - y for x,y in [0,3]: min -3, max 9.
         assert!(enum_interval_hit(&f, &b, Interval::new(9, 9)));
         assert!(!enum_interval_hit(&f, &b, Interval::new(10, 20)));
-        assert_eq!(enum_interval_count(&f, &b, Interval::new(0, 0)), 2); // (0,0), (1,3)
-    }
-
-    #[test]
-    fn mod_enumeration() {
-        let f = AffineForm::new(vec![4], 0);
-        let b = IntBox::new(vec![Interval::new(0, 7)]);
-        // 4x mod 8 ∈ {0, 4}.
-        assert!(enum_mod_hit(&f, &b, 8, Interval::new(4, 4)));
-        assert!(!enum_mod_hit(&f, &b, 8, Interval::new(1, 3)));
-    }
-
-    #[test]
-    fn distinct_quotients() {
-        let f = AffineForm::new(vec![8], 0);
-        let b = IntBox::new(vec![Interval::new(0, 5)]);
-        // 8x for x in 0..=5: 0,8,16,24,32,40 ; mod 16 ∈ [0,7] => x even: 0,16,32 -> quotients 0,1,2
-        assert_eq!(enum_distinct_quotients(&f, &b, 16, Interval::new(0, 7)), vec![0, 1, 2]);
+        assert!(enum_interval_hit(&f, &b, Interval::new(0, 0))); // at (0,0) and (1,3)
     }
 }

@@ -21,9 +21,9 @@
 //!   max-gap density lemma + branch-and-bound). This is our equivalent of
 //!   the specialised replacement-polyhedron emptiness tests of Bermudo et
 //!   al. that the paper's solver builds on.
-//! * [`modhit`] — the modular variant `∃ x ∈ Box : F(x) mod M ∈ [a, b]`
-//!   (gcd saturation, period clipping, bitset sum-set fallback).
-//! * [`enumhit`] — brute-force enumeration: the oracle the fast solvers are
+//!   Set-mapping queries (`F(x) mod M ∈ [a, b]`) go through the same
+//!   solver, with the cache wrap variable as an extra term.
+//! * [`enumhit`] — brute-force enumeration: the oracle the fast solver is
 //!   validated against and the "naive" baseline of the paper's §2.3
 //!   speed-up claim.
 //! * [`Polyhedron`] — general integer constraint systems with bound
@@ -42,7 +42,6 @@ pub mod enumhit;
 pub mod formhit;
 pub mod interval;
 pub mod lex;
-pub mod modhit;
 pub mod polyhedron;
 
 pub use affine::AffineForm;

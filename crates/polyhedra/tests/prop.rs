@@ -1,12 +1,11 @@
-//! Property-based tests: the fast solvers must agree with brute-force
+//! Property-based tests: the fast solver must agree with brute-force
 //! enumeration on arbitrary instances, and the lexicographic decomposition
 //! must partition the open interval exactly.
 
 use cme_polyhedra::boxes::lex_cmp;
-use cme_polyhedra::enumhit::{enum_interval_hit, enum_mod_hit};
+use cme_polyhedra::enumhit::enum_interval_hit;
 use cme_polyhedra::formhit::{interval_hit, Budget, HitResult};
 use cme_polyhedra::lex::between_open;
-use cme_polyhedra::modhit::mod_hit;
 use cme_polyhedra::{AffineForm, IntBox, Interval};
 use proptest::prelude::*;
 
@@ -68,20 +67,6 @@ proptest! {
         prop_assert_eq!(got == HitResult::Yes, want);
         // A second query on the dirty buffer answers the same.
         prop_assert_eq!(interval_hit(&f, &b, Some((m, n_iv)), w, &mut budget, &mut terms), got);
-    }
-
-    #[test]
-    fn modhit_agrees_with_enumeration(
-        (b, f, m_sel, wsel) in arb_box(3, 8).prop_flat_map(|b| {
-            let n = b.n_dims();
-            (Just(b), arb_form(n, 40), 0usize..5, (0i64..64, 0i64..16))
-        })
-    ) {
-        let m = [4i64, 8, 16, 24, 64][m_sel];
-        let wlo = wsel.0 % m;
-        let whi = (wlo + wsel.1).min(m - 1);
-        let w = Interval::new(wlo, whi);
-        prop_assert_eq!(mod_hit(&f, &b, m, w), enum_mod_hit(&f, &b, m, w));
     }
 
     #[test]

@@ -46,6 +46,7 @@ use cme_api::{
     ApiError, CompareOutcome, CompareRequest, LintOutcome, LintRequest, OptimizeRequest, Outcome,
     Session,
 };
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -226,42 +227,70 @@ impl Runtime {
         (result.map(|out| out.without_timing()), false)
     }
 
-    /// Answer a compare request: whole-tournament memo first, then
-    /// per-family reuse of the outcome cache — only the families the
-    /// outcome cache cannot answer are recomputed (as one parallel
-    /// batch), and their fresh outcomes feed the outcome cache back, so
-    /// a tournament also warms `/optimize` and vice versa. The outcome
-    /// is timing-stripped; callers re-stamp `wall_ms`.
+    /// Answer a slice of optimize requests, in request order: look each
+    /// one up in the outcome cache (both tiers), deduplicate the misses by
+    /// canonical key, run them as one parallel `Session::run_batch`, and
+    /// cache every success. Duplicates share one search's answer. Hits
+    /// come back timing-stripped (`wall_ms` 0) and fresh outcomes carry
+    /// their search time.
+    pub fn optimize_batch(&self, reqs: &[OptimizeRequest]) -> Vec<Result<Outcome, ApiError>> {
+        let keys: Vec<String> = reqs.iter().map(canonical_key).collect();
+        // Per slot: `Ok` holds a cache hit, `Err(u)` points at `fresh[u]`,
+        // the one run of that slot's key.
+        let mut slots: Vec<Result<Outcome, usize>> = Vec::with_capacity(reqs.len());
+        let mut fresh: Vec<OptimizeRequest> = Vec::new();
+        let mut fresh_keys: Vec<&str> = Vec::new();
+        let mut miss_of: HashMap<&str, usize> = HashMap::new();
+        for (req, key) in reqs.iter().zip(&keys) {
+            slots.push(self.outcomes.get(key).ok_or_else(|| {
+                *miss_of.entry(key).or_insert_with(|| {
+                    fresh.push(req.clone());
+                    fresh_keys.push(key);
+                    fresh.len() - 1
+                })
+            }));
+        }
+        let results = self.session.run_batch(&fresh);
+        for (key, result) in fresh_keys.iter().zip(&results) {
+            if let Ok(out) = result {
+                self.outcomes.insert((*key).to_string(), out);
+            }
+        }
+        slots
+            .into_iter()
+            .map(|slot| match slot {
+                Ok(hit) => Ok(hit),
+                // `run_batch` answers every request, so the lookup always
+                // succeeds; a handler still must not panic.
+                Err(u) => results.get(u).cloned().unwrap_or_else(|| {
+                    Err(ApiError::BadRequest("internal: batch slot left unfilled".into()))
+                }),
+            })
+            .collect()
+    }
+
+    /// Answer a compare request: the whole-tournament memo first, then
+    /// every entrant through [`Self::optimize_batch`] — a tournament warms
+    /// `/optimize` and vice versa — and the first failure in line-up
+    /// order, or else the ranking. The outcome is timing-stripped;
+    /// callers re-stamp `wall_ms`.
     pub fn compare(&self, req: &CompareRequest) -> (Result<CompareOutcome, ApiError>, bool) {
         let key = canonical_compare_key(req);
         if let Some(hit) = self.compares.get(&key) {
             return (Ok(hit), true);
         }
-        if req.strategies.is_empty() {
-            return (
-                Err(ApiError::BadRequest("compare request needs at least one strategy".into())),
-                false,
-            );
+        let ranked = req.entrants().and_then(|entrants| {
+            let outcomes = self
+                .optimize_batch(&entrants)
+                .into_iter()
+                .map(|result| result.map(|out| out.without_timing()))
+                .collect::<Result<_, _>>()?;
+            Ok(CompareOutcome::rank(outcomes, 0))
+        });
+        if let Ok(ranked) = &ranked {
+            self.compares.insert(key, ranked);
         }
-        let entrants: Vec<OptimizeRequest> =
-            (0..req.strategies.len()).map(|k| req.entrant(k)).collect();
-        let entrant_keys: Vec<String> = entrants.iter().map(canonical_key).collect();
-        let mut outcomes: Vec<Option<Outcome>> =
-            entrant_keys.iter().map(|k| self.outcomes.get(k)).collect();
-        let missing: Vec<usize> = (0..outcomes.len()).filter(|&i| outcomes[i].is_none()).collect();
-        let fresh: Vec<OptimizeRequest> = missing.iter().map(|&i| entrants[i].clone()).collect();
-        for (&i, result) in missing.iter().zip(self.session.run_batch(&fresh)) {
-            match result {
-                Ok(out) => {
-                    self.outcomes.insert(entrant_keys[i].clone(), &out);
-                    outcomes[i] = Some(out.without_timing());
-                }
-                Err(e) => return (Err(e), false),
-            }
-        }
-        let ranked = CompareOutcome::rank(outcomes.into_iter().flatten().collect(), 0);
-        self.compares.insert(key, &ranked);
-        (Ok(ranked), false)
+        (ranked, false)
     }
 
     /// Flush the persistent outcome tier (no-op without one); returns

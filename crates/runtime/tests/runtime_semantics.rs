@@ -166,3 +166,90 @@ fn concurrent_identical_requests_coalesce() {
     );
     assert_eq!(flights.in_flight, 0);
 }
+
+#[test]
+fn a_family_the_nest_cannot_take_builds_no_engine() {
+    use cme_api::cme::CacheSpec;
+    use cme_api::{ApiError, NestSource, OptimizeRequest, PaddingMode, StrategySpec};
+    use cme_runtime::RuntimeError;
+
+    // x(i,j) = x(i-1,j+1): the carried (<, >) dependence forbids
+    // rectangular tiling, so both families that emit one answer the
+    // capability table's 422 before any engine consults the store.
+    let nest: NestSource = serde_json::from_str(
+        r#"{"Inline": {
+            "name": "skew",
+            "loops": [{"name": "i", "lo": 2, "hi": 24}, {"name": "j", "lo": 1, "hi": 23}],
+            "arrays": [{"name": "x", "extents": [25, 25], "elem_size": 4,
+                        "layout": "ColumnMajor"}],
+            "refs": [
+                {"array": 0, "subscripts": [{"coeffs": [1, 0], "c0": -1},
+                                            {"coeffs": [0, 1], "c0": 1}], "access": "Read"},
+                {"array": 0, "subscripts": [{"coeffs": [1, 0], "c0": 0},
+                                            {"coeffs": [0, 1], "c0": 0}], "access": "Write"}
+            ]
+        }}"#,
+    )
+    .expect("the inline nest parses");
+    let rt = Runtime::new(&RuntimeConfig::default());
+    let answers: Vec<_> =
+        [StrategySpec::Padding { mode: PaddingMode::PadThenTile }, StrategySpec::Tiling]
+            .into_iter()
+            .map(|strategy| {
+                let req = OptimizeRequest::new(nest.clone(), strategy)
+                    .with_cache(CacheSpec::direct_mapped(1024, 32));
+                rt.optimize(&req).0
+            })
+            .collect();
+    match &answers[0] {
+        Err(RuntimeError::Api(ApiError::IllegalTransform(msg))) => {
+            assert!(msg.starts_with("tiling `skew` is illegal: "), "{msg}");
+        }
+        other => panic!("expected IllegalTransform, got {other:?}"),
+    }
+    assert_eq!(answers[0], answers[1], "both families answer the same 422");
+    let stats = rt.displacements().stats();
+    assert_eq!((stats.hits, stats.misses), (0, 0), "no engine was built");
+}
+
+#[test]
+fn tournaments_share_the_batch_path() {
+    use cme_api::cme::CacheSpec;
+    use cme_api::{CompareRequest, NestSource, OptimizeRequest, StrategySpec};
+
+    let tournament = |kernel: &str, strategies: Vec<StrategySpec>| {
+        let base = OptimizeRequest::new(NestSource::kernel_sized(kernel, 16), StrategySpec::Tiling)
+            .with_cache(CacheSpec::direct_mapped(1024, 32));
+        CompareRequest::new(base).with_strategies(strategies)
+    };
+
+    // A duplicated entrant searches once: the line-up does exactly the
+    // displacement work of its single entrant.
+    let solo = Runtime::new(&RuntimeConfig::default());
+    let twice = Runtime::new(&RuntimeConfig::default());
+    let one = solo.compare(&tournament("T2D", vec![StrategySpec::CacheOblivious])).0;
+    let two = twice
+        .compare(&tournament(
+            "T2D",
+            vec![StrategySpec::CacheOblivious, StrategySpec::CacheOblivious],
+        ))
+        .0;
+    assert_eq!(one.expect("runs").entries.len(), 1);
+    assert_eq!(two.expect("runs").entries.len(), 2);
+    let (a, b) = (solo.displacements().stats(), twice.displacements().stats());
+    assert_eq!((a.hits, a.misses), (b.hits, b.misses), "the duplicate ran no second search");
+
+    // A failing tournament answers its first failure in line-up order and
+    // still caches every entrant that succeeded, after the failure too.
+    let rt = Runtime::new(&RuntimeConfig::default());
+    let failing = tournament(
+        "TRMM",
+        vec![StrategySpec::LatencyBased, StrategySpec::Interchange, StrategySpec::CacheOblivious],
+    );
+    let (answer, hit) = rt.compare(&failing);
+    assert!(!hit);
+    let msg = answer.expect_err("interchange refuses the triangular nest").to_string();
+    assert!(msg.contains("the interchange search supports rectangular loop bounds only"), "{msg}");
+    assert_eq!(rt.outcomes().stats().entries, 2, "latency and oblivious were cached");
+    assert_eq!(rt.compares().stats().entries, 0, "a failure is not memoised");
+}

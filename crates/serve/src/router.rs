@@ -23,8 +23,8 @@
 use crate::http::{HttpRequest, HttpResponse};
 use crate::metrics::Metrics;
 use cme_api::cme::{CacheSpec, SamplingConfig};
-use cme_api::{ApiError, GaConfig, LintRequest, OptimizeRequest, Outcome};
-use cme_runtime::{canonical_key, Resolution, Runtime, RuntimeConfig, RuntimeError};
+use cme_api::{ApiError, GaConfig, LintRequest, OptimizeRequest};
+use cme_runtime::{Resolution, Runtime, RuntimeConfig, RuntimeError};
 use serde::Value;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
@@ -245,9 +245,9 @@ impl App {
     /// `"oblivious"`, `"latency"`, `"baseline:lrw"`, ...) alongside full
     /// `StrategySpec` JSON values, and defaults to the standard four-way
     /// line-up when absent. The runtime answers from its compare memo
-    /// when it can, reusing the per-family outcome cache otherwise; the
-    /// outcome comes back timing-stripped and `wall_ms` is re-stamped
-    /// here, like `/optimize`.
+    /// when it can, and runs the entrants through the same batch path as
+    /// `/batch` otherwise; the outcome comes back timing-stripped and
+    /// `wall_ms` is re-stamped here, like `/optimize`.
     fn compare(&self, body: &[u8]) -> HttpResponse {
         let started = Instant::now();
         let req = match parse_compare_request(body) {
@@ -268,10 +268,11 @@ impl App {
         }
     }
 
-    /// `POST /batch`: a JSON array of optimize requests. Hits come from
-    /// the cache; the misses run through `Session::run_batch` (rayon) in
-    /// request order. Per-request failures do not fail the batch — each
-    /// slot is either an `Outcome` or an error object.
+    /// `POST /batch`: a JSON array of optimize requests, answered by
+    /// `Runtime::optimize_batch` in request order — cache hits (with
+    /// `wall_ms` 0), then one deduplicated parallel run of the misses.
+    /// Per-request failures do not fail the batch: each slot is either an
+    /// `Outcome` or an error object.
     fn batch(&self, body: &[u8]) -> HttpResponse {
         let value = match parse_json_body(body) {
             Ok(v) => v,
@@ -291,64 +292,13 @@ impl App {
                 }
             }
         }
-
-        // Cache pass (both tiers): hits are re-stamped with their
-        // (near-zero) lookup time, exactly like the single-request route.
-        // Misses run through `Session::run_batch` below rather than the
-        // coalescing group — the dedup pass already collapses duplicates
-        // *within* the batch, which is the common case.
-        let keys: Vec<String> = reqs.iter().map(canonical_key).collect();
-        let mut slots: Vec<Option<Result<Outcome, ApiError>>> = keys
+        let results: Vec<Value> = self
+            .runtime
+            .optimize_batch(&reqs)
             .iter()
-            .map(|key| {
-                let started = Instant::now();
-                self.runtime.outcomes().get(key).map(|mut out| {
-                    out.wall_ms = started.elapsed().as_millis() as u64;
-                    Ok(out)
-                })
-            })
-            .collect();
-
-        // Deduplicate the misses by canonical key so `[X, X, X]` runs the
-        // search once and fans the outcome back out to every slot.
-        let mut unique_reqs: Vec<OptimizeRequest> = Vec::new();
-        let mut unique_keys: Vec<String> = Vec::new();
-        let mut slot_unique: Vec<(usize, usize)> = Vec::new();
-        let mut by_key: std::collections::HashMap<&str, usize> = std::collections::HashMap::new();
-        for k in 0..slots.len() {
-            if slots[k].is_none() {
-                let u = *by_key.entry(keys[k].as_str()).or_insert_with(|| {
-                    unique_reqs.push(reqs[k].clone());
-                    unique_keys.push(keys[k].clone());
-                    unique_reqs.len() - 1
-                });
-                slot_unique.push((k, u));
-            }
-        }
-        let unique_results = self.runtime.session().run_batch(&unique_reqs);
-        for (key, result) in unique_keys.iter().zip(&unique_results) {
-            if let Ok(out) = result {
-                self.runtime.outcomes().insert(key.clone(), out);
-            }
-        }
-        for (k, u) in slot_unique {
-            slots[k] = Some(unique_results[u].clone());
-        }
-
-        let results: Vec<Value> = slots
-            .into_iter()
             .map(|slot| match slot {
-                Some(Ok(out)) => serde_json::to_value(&out),
-                Some(Err(e)) => Value::Object(vec![
-                    ("error".into(), serde_json::to_value(&e)),
-                    ("message".into(), Value::Str(e.to_string())),
-                ]),
-                // Unreachable by construction (every miss slot was filled
-                // from `slot_unique`), but a handler must not panic.
-                None => Value::Object(vec![(
-                    "error".into(),
-                    Value::Str("internal: batch slot left unfilled".into()),
-                )]),
+                Ok(out) => serde_json::to_value(out),
+                Err(e) => api_error_value(e),
             })
             .collect();
         ok_json(&results)
@@ -373,12 +323,17 @@ pub fn api_error_status(e: &ApiError) -> u16 {
     }
 }
 
-fn api_error_response(e: &ApiError) -> HttpResponse {
-    let body = Value::Object(vec![
+/// The error object every route answers for an [`ApiError`]: the
+/// structured `"error"` tag plus the human-readable `"message"`.
+fn api_error_value(e: &ApiError) -> Value {
+    Value::Object(vec![
         ("error".into(), serde_json::to_value(e)),
         ("message".into(), Value::Str(e.to_string())),
-    ]);
-    match serde_json::to_string(&body) {
+    ])
+}
+
+fn api_error_response(e: &ApiError) -> HttpResponse {
+    match serde_json::to_string(&api_error_value(e)) {
         Ok(json) => HttpResponse::json(api_error_status(e), json),
         // `HttpResponse::error` escapes by hand, so the fallback cannot
         // fail; only the structured `"error"` tag is lost.
@@ -426,20 +381,15 @@ pub fn parse_optimize_request(body: &[u8]) -> Result<OptimizeRequest, HttpRespon
 /// Parse a `/compare` body: JSON → defaults on the base request and the
 /// line-up → token mapping → typed request. The base request's own
 /// `strategy` defaults to `"Tiling"` (the tournament ignores it, but the
-/// type requires one); an absent `strategies` array becomes the standard
-/// four-way line-up.
+/// type requires one); an absent `strategies` array becomes
+/// [`cme_api::CompareRequest::default_strategies`].
 pub fn parse_compare_request(body: &[u8]) -> Result<cme_api::CompareRequest, HttpResponse> {
     let mut value = parse_json_body(body)?;
     if let Value::Object(fields) = &mut value {
         if serde::get_field(fields, "strategies").is_none() {
             fields.push((
                 "strategies".into(),
-                Value::Array(
-                    ["ga", "oblivious", "latency", "baseline:lrw"]
-                        .iter()
-                        .map(|t| Value::Str((*t).to_string()))
-                        .collect(),
-                ),
+                serde_json::to_value(&cme_api::CompareRequest::default_strategies()),
             ));
         }
         for (name, member) in fields.iter_mut() {
@@ -471,7 +421,7 @@ pub fn parse_compare_request(body: &[u8]) -> Result<cme_api::CompareRequest, Htt
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cme_api::Session;
+    use cme_api::{Outcome, Session};
     fn post(path: &str, body: &str) -> HttpRequest {
         HttpRequest {
             method: "POST".into(),

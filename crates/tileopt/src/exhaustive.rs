@@ -19,9 +19,8 @@ pub struct ExhaustiveResult {
 }
 
 /// Evaluate every tile vector in `[1,U_1]×…×[1,U_d]` (or a strided subset
-/// via `step`) and return the optimum, with a fixed sampling seed. Panics
-/// if the sweep would exceed `max_evals`; use [`try_exhaustive_search`]
-/// for the fallible, seedable variant.
+/// via `step`) with a fixed sampling seed and return the optimum, refusing
+/// sweeps above `max_evals` evaluations and strides below 1.
 pub fn exhaustive_search(
     nest: &LoopNest,
     layout: &MemoryLayout,
@@ -29,30 +28,14 @@ pub fn exhaustive_search(
     sampling: SamplingConfig,
     step: i64,
     max_evals: u64,
-) -> ExhaustiveResult {
-    try_exhaustive_search(nest, layout, cache, sampling, step, max_evals, 0xEE)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// As [`exhaustive_search`], but refusing oversized sweeps (and degenerate
-/// strides) with an error instead of panicking, and taking the base
-/// sampling `seed` explicitly (per-tile seeds derive from it) — the entry
-/// point the `cme-api` strategy adapter uses with the request's seed.
-pub fn try_exhaustive_search(
-    nest: &LoopNest,
-    layout: &MemoryLayout,
-    cache: CacheSpec,
-    sampling: SamplingConfig,
-    step: i64,
-    max_evals: u64,
-    seed: u64,
 ) -> Result<ExhaustiveResult, String> {
-    let engine = EvalEngine::new(CmeModel::new(cache), nest, layout, sampling, seed);
+    let engine = EvalEngine::new(CmeModel::new(cache), nest, layout, sampling, 0xEE);
     exhaustive_search_on(&engine, step, max_evals)
 }
 
-/// As [`try_exhaustive_search`] on a prebuilt engine — every tile vector
-/// in the sweep borrows the same per-kernel analysis.
+/// As [`exhaustive_search`] on a prebuilt engine — every tile vector in
+/// the sweep borrows the same per-kernel analysis, and per-tile seeds
+/// derive from the engine's.
 pub fn exhaustive_search_on(
     engine: &EvalEngine,
     step: i64,
@@ -128,7 +111,8 @@ mod tests {
             SamplingConfig::paper(),
             1,
             10_000,
-        );
+        )
+        .unwrap();
         assert_eq!(res.landscape.len(), 36);
         assert!(res.best_cost <= res.landscape[0].1);
         assert!(res.landscape.iter().any(|(t, _)| t == &vec![6, 6]));
@@ -140,7 +124,8 @@ mod tests {
         let nest = t2d(16);
         let layout = MemoryLayout::contiguous(&nest);
         let cache = CacheSpec::direct_mapped(256, 32);
-        let exact = exhaustive_search(&nest, &layout, cache, SamplingConfig::paper(), 1, 10_000);
+        let exact =
+            exhaustive_search(&nest, &layout, cache, SamplingConfig::paper(), 1, 10_000).unwrap();
         let opt = crate::problem::TilingOptimizer::new(cache);
         let out = opt.optimize(&nest, &layout).unwrap();
         let volume = (nest.accesses()) as f64;

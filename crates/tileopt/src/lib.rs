@@ -33,9 +33,7 @@ pub mod padding;
 pub mod problem;
 pub mod report;
 
-pub use exhaustive::{
-    exhaustive_search, exhaustive_search_on, try_exhaustive_search, ExhaustiveResult,
-};
+pub use exhaustive::{exhaustive_search, exhaustive_search_on, ExhaustiveResult};
 pub use interchange::{optimize_with_interchange, InterchangeOutcome};
 pub use latency::{latency_based_tiles, LatencyResult, KNEE_SLACK, PROBE_ACCESS_BUDGET};
 pub use oblivious::{cache_oblivious_tiles, ObliviousResult, BASE_CASE_BYTES};

@@ -157,18 +157,13 @@ impl PaddingOptimizer {
 
     /// Search padding only (Table 3, column "padding").
     pub fn optimize(&self, nest: &LoopNest) -> PaddingOutcome {
-        self.optimize_on(&self.engine(nest))
-    }
-
-    /// As [`Self::optimize`] on a prebuilt shared engine.
-    pub fn optimize_on(&self, engine: &EvalEngine) -> PaddingOutcome {
-        let nest = engine.nest();
-        let objective = PaddingObjective { engine, space: self.space };
+        let engine = self.engine(nest);
+        let objective = PaddingObjective { engine: &engine, space: self.space };
         let ga = run_ga(&self.space.domain(nest), &objective, &self.ga);
         // Both estimates use `CmeModel::estimate_nest`'s canonical
         // seeding, so `original` equals the baseline the `cme-api` layer
-        // reports (no re-estimation there) and the before/after pair is
-        // drawn from the same sample points.
+        // reports and the before/after pair is drawn from the same sample
+        // points.
         let original = engine.estimate_canonical(None);
         let padded_layout = self.space.layout_for(nest, self.hierarchy.l1().line, &ga.best_values);
         let padded =
@@ -198,34 +193,21 @@ impl PaddingOptimizer {
     }
 
     /// Joint padding + tiling in a single GA (the paper's future work):
-    /// the genome concatenates padding variables and tile sizes.
-    pub fn optimize_joint(
-        &self,
-        nest: &LoopNest,
-    ) -> Result<(Vec<i64>, TileSizes, MissEstimate), String> {
-        self.optimize_joint_full(nest).map(|out| (out.pads, out.tiles, out.after))
-    }
-
-    /// As [`Self::optimize_joint`] but returning the full record the
-    /// `cme-api` strategy adapter needs: both estimates and the GA digest.
-    pub fn optimize_joint_full(&self, nest: &LoopNest) -> Result<JointOutcome, String> {
-        self.optimize_joint_on(&self.engine(nest))
-    }
-
-    /// Joint search on a prebuilt shared engine.
-    pub fn optimize_joint_on(&self, engine: &EvalEngine) -> Result<JointOutcome, String> {
-        let nest = engine.nest();
+    /// the genome concatenates padding variables and tile sizes. Errors
+    /// when rectangular tiling is illegal for the nest.
+    pub fn optimize_joint(&self, nest: &LoopNest) -> Result<JointOutcome, String> {
         if let cme_loopnest::deps::TilingLegality::Illegal { reason } =
             cme_analysis::rectangular_tiling_legality(nest)
         {
             return Err(format!("tiling `{}` is illegal: {reason}", nest.name));
         }
+        let engine = self.engine(nest);
         let pad_domain = self.space.domain(nest);
         let n_pad = pad_domain.maxes.len();
         let mut maxes = pad_domain.maxes.clone();
         maxes.extend(nest.spans());
         let domain = Domain::new(maxes);
-        let objective = JointObjective { engine, space: self.space, n_pad };
+        let objective = JointObjective { engine: &engine, space: self.space, n_pad };
         let ga = run_ga(&domain, &objective, &self.ga);
         let layout =
             self.space.layout_for(nest, self.hierarchy.l1().line, &ga.best_values[..n_pad]);
@@ -331,13 +313,13 @@ mod tests {
         let nest = aliased(128);
         let opt = PaddingOptimizer::new(CacheSpec::direct_mapped(512, 32));
         let pipeline = opt.optimize_then_tile(&nest).unwrap();
-        let (pads, _tiles, joint_est) = opt.optimize_joint(&nest).unwrap();
-        assert_eq!(pads.len(), 2 * nest.arrays.len());
+        let joint = opt.optimize_joint(&nest).unwrap();
+        assert_eq!(joint.pads.len(), 2 * nest.arrays.len());
         let pipe_after =
             pipeline.tiled.as_ref().map(|t| t.after.replacement_ratio()).unwrap_or(1.0);
         // Joint search explores a superset of layouts; allow sampling
         // noise but it must be in the same ballpark or better.
-        assert!(joint_est.replacement_ratio() <= pipe_after + 0.05);
+        assert!(joint.after.replacement_ratio() <= pipe_after + 0.05);
     }
 
     #[test]

@@ -36,9 +36,9 @@ impl<'e> TilingObjective<'e> {
     }
 
     /// Estimate of the untransformed nest, seeded identically to
-    /// [`cme_core::CmeModel::estimate_nest`] with no tiling — so optimiser `before`
-    /// fields equal the canonical baseline the `cme-api` layer reports,
-    /// and the adapter can reuse them instead of re-estimating.
+    /// [`cme_core::CmeModel::estimate_nest`] with no tiling — so optimiser
+    /// `before` fields equal the canonical baseline every `cme-api`
+    /// family reports.
     pub fn estimate_untiled(&self) -> MissEstimate {
         self.estimator.estimate_canonical(None)
     }
@@ -172,19 +172,8 @@ impl TilingOptimizer {
             return Err(format!("tiling `{}` is illegal: {reason}", nest.name));
         }
         let engine = self.engine(nest, layout);
-        self.optimize_on(&engine)
-    }
-
-    /// Run the GA tile search on a prebuilt engine (callers that already
-    /// hold one — e.g. the API strategy layer — avoid a second analysis).
-    pub fn optimize_on(&self, engine: &EvalEngine) -> Result<(TilingOutcome, GaResult), String> {
-        let nest = engine.nest();
-        if let TilingLegality::Illegal { reason } = rectangular_tiling_legality(nest) {
-            return Err(format!("tiling `{}` is illegal: {reason}", nest.name));
-        }
-        let objective = TilingObjective::new(engine);
-        let domain = Domain::new(nest.spans());
-        let ga = run_ga(&domain, &objective, &self.ga);
+        let objective = TilingObjective::new(&engine);
+        let ga = run_ga(&Domain::new(nest.spans()), &objective, &self.ga);
         let tiles = TileSizes(ga.best_values.clone());
         let before = objective.estimate_untiled();
         let after = objective.estimate(&tiles);

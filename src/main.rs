@@ -555,15 +555,15 @@ fn cmd_tile(args: &Args) {
 }
 
 fn cmd_compare(args: &Args) {
-    let strategies: Vec<StrategySpec> = args
-        .strategies
-        .as_deref()
-        .unwrap_or("ga,oblivious,latency,baseline:lrw")
-        .split(',')
-        .map(|token| {
-            StrategySpec::parse_token(token.trim()).unwrap_or_else(|e| fail(e.to_string()))
-        })
-        .collect();
+    let strategies = match &args.strategies {
+        Some(tokens) => tokens
+            .split(',')
+            .map(|token| {
+                StrategySpec::parse_token(token.trim()).unwrap_or_else(|e| fail(e.to_string()))
+            })
+            .collect(),
+        None => CompareRequest::default_strategies(),
+    };
     // The base strategy is a placeholder — `strategies` picks the entrants.
     let base = args.optimize_request(args.nest_source(), StrategySpec::Tiling);
     let req = CompareRequest::new(base).with_strategies(strategies);

@@ -79,6 +79,42 @@ fn intra_repo_links_resolve() {
     assert!(checked >= 10, "sanity: the docs carry intra-repo links (saw {checked})");
 }
 
+/// SCHEMA.md's capability table says, for every family name, what
+/// `StrategySpec::needs()` says: whether the family takes affine bounds
+/// (and, when it does not, the capability its 400 names) and whether it
+/// needs a tileable nest. One row per family, in the code's table order.
+#[test]
+fn schema_capability_table_matches_the_code() {
+    use cme_suite::api::FAMILIES;
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let schema = std::fs::read_to_string(root.join("docs/SCHEMA.md")).expect("SCHEMA.md");
+    let header = "| Family | Affine (triangular) bounds | Needs a tileable nest |";
+    let start = schema.find(header).expect("SCHEMA.md carries the capability table");
+    let mut documented = Vec::new();
+    for line in schema[start..].lines().skip(2).take_while(|l| l.starts_with('|')) {
+        let cells: Vec<String> =
+            line.trim_matches('|').split('|').map(|c| c.trim().replace('`', "")).collect();
+        let [family, affine, tileable] = cells.as_slice() else {
+            panic!("malformed capability row: {line}");
+        };
+        let spec = FAMILIES
+            .iter()
+            .find(|spec| spec.name() == *family)
+            .unwrap_or_else(|| panic!("capability row names no family: {line}"));
+        let needs = spec.needs();
+        let box_only = match affine.as_str() {
+            "yes" => None,
+            other => Some(other.strip_prefix("no: ").unwrap_or_else(|| panic!("{line}"))),
+        };
+        assert_eq!(box_only, needs.box_only, "{family}: affine-bounds column");
+        assert!(["yes", "no"].contains(&tileable.as_str()), "{line}");
+        assert_eq!(tileable == "yes", needs.tileable, "{family}: tileable column");
+        documented.push(family.clone());
+    }
+    let names: Vec<String> = FAMILIES.iter().map(|spec| spec.name()).collect();
+    assert_eq!(documented, names, "one row per family, in table order");
+}
+
 /// The schema document must keep documenting the wire format's
 /// load-bearing pieces — a heading rename is fine, dropping a section is
 /// not.
@@ -137,7 +173,7 @@ fn schema_doc_covers_the_wire_surface() {
         "Iteration spaces",
         "SpaceShape",
         "shape_volume",
-        "require_rectangular",
+        "StrategySpec::needs",
         "statement-major",
     ] {
         assert!(arch.contains(needle), "docs/ARCHITECTURE.md no longer mentions `{needle}`");

@@ -1,9 +1,10 @@
 //! No strategy family may emit an analysis-illegal transform.
 //!
-//! Every optimiser entry point gates its moves on `cme-analysis`
-//! legality, but that wiring lives in four different call sites
-//! (tiling, padding, joint, interchange). This test checks the property
-//! itself, from the outside: run every strategy family over kernels
+//! Every family is gated on `cme-analysis` legality by one capability
+//! table (`StrategySpec::needs`), read by `cme_api::search`, while the
+//! `cme-tileopt` entry points and the interchange search keep checks of
+//! their own. This test checks the property itself, from the outside:
+//! run every strategy family over kernels
 //! *with* carried dependences (ADI's recurrence, a hand-built
 //! reversal-hazard nest) and re-verify each emitted transform against
 //! the dependence analysis. A strategy that ever returns an illegal
