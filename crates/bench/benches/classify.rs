@@ -1,7 +1,8 @@
 //! Criterion bench: per-point CME classification (the inner loop of the
 //! whole system) on MM at paper scale, untiled and tiled.
 
-use cme_core::{CacheSpec, CmeModel};
+use cme_core::classify::classify_point;
+use cme_core::{CacheSpec, Classification, CmeModel};
 use cme_loopnest::{MemoryLayout, TileSizes};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -19,11 +20,11 @@ fn bench_classify(c: &mut Criterion) {
         b.iter(|| {
             let mut engine = untiled.engine();
             let mut misses = 0u32;
+            let mut c = [Classification::Hit];
             for p in &points {
                 for r in 0..4 {
-                    if cme_core::classify::classify_point(&untiled, &mut engine, black_box(p), r)
-                        != cme_core::Classification::Hit
-                    {
+                    classify_point(&untiled, &mut engine, black_box(p), r, &mut c);
+                    if c[0] != Classification::Hit {
                         misses += 1;
                     }
                 }
@@ -41,11 +42,11 @@ fn bench_classify(c: &mut Criterion) {
         b.iter(|| {
             let mut engine = tiled.engine();
             let mut misses = 0u32;
+            let mut c = [Classification::Hit];
             for p in &tpoints {
                 for r in 0..4 {
-                    if cme_core::classify::classify_point(&tiled, &mut engine, black_box(p), r)
-                        != cme_core::Classification::Hit
-                    {
+                    classify_point(&tiled, &mut engine, black_box(p), r, &mut c);
+                    if c[0] != Classification::Hit {
                         misses += 1;
                     }
                 }

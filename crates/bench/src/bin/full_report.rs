@@ -23,7 +23,7 @@ fn main() {
          means of Cache Miss Equations and Genetic Algorithms*, ICPPW'02.\n\n\
          Caches: 8 KB / 32 KB direct-mapped, 32-byte lines (§4.1). Miss ratios are\n\
          CME-estimated with the paper's 164-point sampling; kernels are the\n\
-         reconstructions documented in `DESIGN.md` §3, so absolute values need not\n\
+         reconstructions documented in the `cme-kernels` crate, so absolute values need not\n\
          match the paper — the before/after *shape* is the reproduction target.\n\
          Paper numbers are shown in parentheses. `n/a` marks rows the paper does\n\
          not report.\n"
@@ -243,7 +243,8 @@ fn main() {
     writeln!(w, "## Reproduction notes\n").unwrap();
     writeln!(
         w,
-        "* Kernel sources are reconstructions (DESIGN.md §3); T3DIKJ/ADI/JACOBI3D differ \
+        "* Kernel sources are reconstructions (see the `cme-kernels` crate docs); \
+         T3DIKJ/ADI/JACOBI3D differ \
          most from the paper's absolute numbers but preserve the qualitative shape.\n\
          * Our padding search eliminates the alignment conflicts completely (paper's \
          intermediate padding column remains high for ADD/VPENTA1), because the \

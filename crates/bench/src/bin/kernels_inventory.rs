@@ -1,7 +1,7 @@
 //! Table 1: the evaluated kernels.
 
 fn main() {
-    println!("Table 1 — evaluated kernels (reconstructions; see DESIGN.md §3)\n");
+    println!("Table 1 — evaluated kernels (reconstructions; see the cme-kernels crate docs)\n");
     let rows: Vec<Vec<String>> = cme_kernels::all_kernels()
         .iter()
         .map(|k| {

@@ -17,31 +17,35 @@ pub enum Classification {
     Replacement,
 }
 
-/// Classify reference `ref_a` at analysis point `v0`.
+/// Classify reference `ref_a` at analysis point `v0` for every level of
+/// `engine`, writing one verdict per level into `out`.
 ///
 /// Finds the most recent preceding access to the same memory line (see
-/// `most_recent_source`), then decides hit vs. replacement with a single
-/// interference query (older sources see a superset of the interference,
-/// so the most recent one is decisive). No source ⇒ cold.
+/// `most_recent_source`), then decides hit vs. replacement per level with
+/// a single interference walk (older sources see a superset of the
+/// interference, so the most recent one is decisive). No source ⇒ cold at
+/// every level. Both steps depend on the line size alone, so the levels
+/// of one engine share them; only the set-conflict test is per level.
 pub fn classify_point(
     an: &NestAnalysis,
     engine: &mut InterferenceEngine,
     v0: &[i64],
     ref_a: usize,
-) -> Classification {
-    let l0 = engine.cache.line_of(an.addr[ref_a].eval(v0));
+    out: &mut [Classification],
+) {
+    debug_assert_eq!(out.len(), engine.levels.len());
+    let l0 = engine.line_of(an.addr[ref_a].eval(v0));
     let Some(src_pos) = most_recent_source(an, engine, v0, ref_a, l0) else {
-        return Classification::Cold;
+        out.fill(Classification::Cold);
+        return;
     };
-    // Lend the source point out of the engine for the interference query
+    // Lend the source point out of the engine for the interference walk
     // (a move: the buffer keeps its allocation).
     let src = std::mem::take(&mut engine.source);
-    let blocked = engine.blocks_reuse(&an.space, &an.addr, &src, src_pos, v0, ref_a, l0);
+    engine.blocks_reuse(&an.space, &an.addr, &src, src_pos, v0, ref_a, l0);
     engine.source = src;
-    if blocked {
-        Classification::Replacement
-    } else {
-        Classification::Hit
+    for (c, level) in out.iter_mut().zip(&engine.levels) {
+        *c = if level.blocked() { Classification::Replacement } else { Classification::Hit };
     }
 }
 
@@ -59,15 +63,13 @@ pub(crate) fn most_recent_source(
     l0: i64,
 ) -> Option<usize> {
     // Intra-iteration sources: most recent earlier body position first.
-    if let Some(pos) =
-        (0..ref_a).rev().find(|&pos| engine.cache.line_of(an.addr[pos].eval(v0)) == l0)
-    {
+    if let Some(pos) = (0..ref_a).rev().find(|&pos| engine.line_of(an.addr[pos].eval(v0)) == l0) {
         engine.source.clear();
         engine.source.extend_from_slice(v0);
         return Some(pos);
     }
     // Cross-iteration sources: deepest divergence level = most recent.
-    let window = Interval::new(l0 * engine.cache.line, (l0 + 1) * engine.cache.line - 1);
+    let window = Interval::new(l0 * engine.line(), (l0 + 1) * engine.line() - 1);
     for s in (0..v0.len()).rev() {
         let mut best: Option<usize> = None;
         for &b in &an.uniform_sources[ref_a] {
@@ -125,8 +127,10 @@ mod tests {
         let mut eng = an.engine();
         let mut cold = 0;
         let mut hit = 0;
+        let mut c = [Classification::Hit];
         for i in 1..=64i64 {
-            match classify_point(&an, &mut eng, &[i], 0) {
+            classify_point(&an, &mut eng, &[i], 0, &mut c);
+            match c[0] {
                 Classification::Cold => cold += 1,
                 Classification::Hit => hit += 1,
                 Classification::Replacement => panic!("streaming cannot replace"),
@@ -152,9 +156,11 @@ mod tests {
         let an = model.analyze(&nest, &layout, None);
         let mut eng = an.engine();
         let mut repl = 0;
+        let mut c = [Classification::Hit];
         for i in 1..=16i64 {
             for r in 0..2 {
-                if classify_point(&an, &mut eng, &[i], r) == Classification::Replacement {
+                classify_point(&an, &mut eng, &[i], r, &mut c);
+                if c[0] == Classification::Replacement {
                     repl += 1;
                 }
             }

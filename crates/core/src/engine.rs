@@ -16,7 +16,12 @@
 //!   delta)` serves padding searches, where candidate layouts differ but
 //!   most pairs (all self-pairs and same-array pairs) keep their key,
 //! * the untiled analysis is cached whole — trivial tile vectors and
-//!   baseline estimates reuse it directly.
+//!   baseline estimates reuse it directly,
+//! * on a cache hierarchy, levels are grouped by line size: one analysis
+//!   per group and candidate, classified in one pass for all of the
+//!   group's levels ([`crate::estimate::sampled`] over their
+//!   geometries). The sample, the source search and the interference walk
+//!   are shared; only the set-conflict test is per level.
 //!
 //! Results are **byte-identical** to the from-scratch path: the engine
 //! assembles analyses from the same `reuse::candidate_base` /
@@ -27,13 +32,15 @@
 //! incumbent-aware [`EvalEngine::cost`] path used by search objectives.
 
 use crate::estimate::{
-    exhaustive, sampled, sampled_vs_incumbent, LevelEstimate, LevelReport, MissEstimate, MissReport,
+    exhaustive, one_level, sampled, sampled_vs_incumbent, LevelEstimate, LevelReport, MissEstimate,
+    MissReport,
 };
 use crate::hierarchy::CacheHierarchy;
 use crate::lexmax::SuffixRanges;
 use crate::model::{CmeModel, NestAnalysis};
 use crate::reuse::{candidate_base_with, original_displacements, CandidateBase};
 use crate::sampling::SamplingConfig;
+use crate::CacheSpec;
 use cme_loopnest::{ExecSpace, LoopNest, MemoryLayout, TileSizes};
 use cme_polyhedra::AffineForm;
 use parking_lot::Mutex;
@@ -116,14 +123,21 @@ pub fn fold_seed(mut h: u64, values: &[i64]) -> u64 {
     h
 }
 
-/// Precomputed per-level state for one outer cache level (L2, L3, …):
-/// its model, candidate base and untiled analysis. The innermost level
-/// lives directly in [`EvalEngine`] so the legacy single-level paths are
-/// untouched.
-struct OuterLevel {
+/// The cache levels of one line size and their shared analysis state:
+/// the candidate base and untiled analysis for that line. Everything a
+/// classification needs besides the final set-conflict test depends on
+/// the line size alone, so the group's levels classify in one pass.
+struct LineGroup {
+    /// Model of the group's first level — the geometry its analyses carry.
     model: CmeModel,
-    miss_latency: f64,
+    /// Hierarchy indices of the group's levels, ascending.
+    levels: Vec<usize>,
+    /// Their geometries, in the same order.
+    caches: Vec<CacheSpec>,
+    /// Candidate base for the base layout (tile-independent).
     base: Arc<CandidateBase>,
+    /// Untiled analysis of the base layout, shared by trivial-tile
+    /// candidates and baseline estimates.
     untiled: Arc<NestAnalysis>,
 }
 
@@ -132,28 +146,26 @@ struct OuterLevel {
 /// seed. `Sync` — rayon-parallel GA evaluation borrows it from every
 /// worker.
 ///
-/// For a multi-level hierarchy the tile-independent Diophantine half of
-/// reuse-candidate generation is shared across levels: displacement sets
-/// depend only on the address forms, the loop spans and the **line
-/// size**, so levels with equal lines share one [`CandidateBase`]
-/// outright, and the cross-layout displacement cache is keyed by line so
-/// padding candidates share entries across levels too.
+/// For a multi-level hierarchy, levels are grouped by **line size**: the
+/// sample, the most-recent-source search and the interference walk depend
+/// on the line alone, so each group builds one analysis per candidate and
+/// classifies it in one pass for all of its levels, each level keeping
+/// only its own set-conflict test. Displacement sets likewise depend only
+/// on the address forms, the loop spans and the line, so each group has
+/// one [`CandidateBase`], and the cross-layout displacement cache is keyed
+/// by line so padding candidates share entries across groups too.
 pub struct EvalEngine {
     /// Innermost (L1) model — the one every legacy path uses.
     model: CmeModel,
     hierarchy: CacheHierarchy,
-    /// Levels beyond L1 (empty for the legacy single-level engine).
-    outer: Vec<OuterLevel>,
+    /// One group per distinct line size, in order of first appearance:
+    /// `groups[0]` holds L1.
+    groups: Vec<LineGroup>,
     sampling: SamplingConfig,
     seed: u64,
     nest: LoopNest,
     layout: MemoryLayout,
     spans: Vec<i64>,
-    /// Candidate base for the base layout (tile-independent), L1 line.
-    base: Arc<CandidateBase>,
-    /// Untiled L1 analysis of the base layout, shared by trivial-tile
-    /// candidates and baseline estimates.
-    untiled: Arc<NestAnalysis>,
     /// Cross-layout displacement cache: `(subject coefficients, source c0
     /// − subject c0, line size) → displacement set`. Spans are fixed per
     /// engine, so the key is complete — and shared across cache levels.
@@ -174,7 +186,7 @@ impl EvalEngine {
         sampling: SamplingConfig,
         seed: u64,
     ) -> Self {
-        Self::build(model, CacheHierarchy::single(model.cache), nest, layout, sampling, seed)
+        Self::build(model, CacheHierarchy::single(model.cache), nest, layout, sampling, seed, None)
     }
 
     /// Build a hierarchy-aware engine. With a legacy one-level hierarchy
@@ -201,29 +213,11 @@ impl EvalEngine {
         seed: u64,
         provider: Option<Arc<dyn DisplacementProvider>>,
     ) -> Self {
-        Self::build_shared(
-            CmeModel::new(hierarchy.l1()),
-            hierarchy.clone(),
-            nest,
-            layout,
-            sampling,
-            seed,
-            provider,
-        )
+        let model = CmeModel::new(hierarchy.l1());
+        Self::build(model, hierarchy.clone(), nest, layout, sampling, seed, provider)
     }
 
     fn build(
-        model: CmeModel,
-        hierarchy: CacheHierarchy,
-        nest: &LoopNest,
-        layout: &MemoryLayout,
-        sampling: SamplingConfig,
-        seed: u64,
-    ) -> Self {
-        Self::build_shared(model, hierarchy, nest, layout, sampling, seed, None)
-    }
-
-    fn build_shared(
         model: CmeModel,
         hierarchy: CacheHierarchy,
         nest: &LoopNest,
@@ -235,58 +229,42 @@ impl EvalEngine {
         let spans = nest.spans();
         let displacements = Mutex::new(HashMap::new());
         let addr = layout.address_forms(nest);
-        let base = Arc::new(candidate_base_with(nest, &addr, |a, b| {
-            cached_displacements(
-                &displacements,
-                provider.as_deref(),
-                &addr[a],
-                &addr[b],
-                model.cache.line,
-                &spans,
-            )
-        }));
-        let untiled = Arc::new(assemble(model, nest, layout, None, Arc::clone(&base)));
-        let outer = hierarchy.levels()[1..]
-            .iter()
-            .map(|level| {
-                let level_model = CmeModel::new(level.spec);
-                // The Diophantine half depends on the line size only:
-                // same line ⇒ share L1's base outright.
-                let level_base = if level.spec.line == model.cache.line {
-                    Arc::clone(&base)
-                } else {
-                    Arc::new(candidate_base_with(nest, &addr, |a, b| {
-                        cached_displacements(
-                            &displacements,
-                            provider.as_deref(),
-                            &addr[a],
-                            &addr[b],
-                            level.spec.line,
-                            &spans,
-                        )
-                    }))
-                };
-                let level_untiled =
-                    Arc::new(assemble(level_model, nest, layout, None, Arc::clone(&level_base)));
-                OuterLevel {
-                    model: level_model,
-                    miss_latency: level.miss_latency,
-                    base: level_base,
-                    untiled: level_untiled,
-                }
-            })
-            .collect();
+        let mut groups: Vec<LineGroup> = Vec::new();
+        for (k, level) in hierarchy.levels().iter().enumerate() {
+            if let Some(group) = groups.iter_mut().find(|g| g.model.cache.line == level.spec.line) {
+                group.levels.push(k);
+                group.caches.push(level.spec);
+                continue;
+            }
+            let group_model = if k == 0 { model } else { CmeModel::new(level.spec) };
+            let base = Arc::new(candidate_base_with(nest, &addr, |a, b| {
+                cached_displacements(
+                    &displacements,
+                    provider.as_deref(),
+                    &addr[a],
+                    &addr[b],
+                    level.spec.line,
+                    &spans,
+                )
+            }));
+            let untiled = Arc::new(assemble(group_model, nest, layout, None, Arc::clone(&base)));
+            groups.push(LineGroup {
+                model: group_model,
+                levels: vec![k],
+                caches: vec![level.spec],
+                base,
+                untiled,
+            });
+        }
         EvalEngine {
             model,
             hierarchy,
-            outer,
+            groups,
             sampling,
             seed,
             nest: nest.clone(),
             layout: layout.clone(),
             spans,
-            base,
-            untiled,
             displacements,
             provider,
         }
@@ -295,12 +273,6 @@ impl EvalEngine {
     /// The cache hierarchy this engine evaluates against.
     pub fn hierarchy(&self) -> &CacheHierarchy {
         &self.hierarchy
-    }
-
-    /// True when estimates carry no per-level breakdown: one level at the
-    /// legacy miss latency, i.e. the pre-hierarchy model.
-    fn is_legacy(&self) -> bool {
-        self.outer.is_empty() && self.hierarchy.is_legacy()
     }
 
     pub fn model(&self) -> CmeModel {
@@ -323,44 +295,31 @@ impl EvalEngine {
         &self.layout
     }
 
-    /// The shared untiled analysis of the base layout.
-    pub fn untiled_analysis(&self) -> &NestAnalysis {
-        &self.untiled
-    }
-
-    /// Analysis of the base layout under an optional tiling, assembled
-    /// from the shared candidate base. Byte-identical to
-    /// [`CmeModel::analyze`] with the same arguments.
-    pub fn analysis(&self, tiles: Option<&TileSizes>) -> NestAnalysis {
-        match tiles.filter(|t| !t.is_trivial(&self.nest)) {
-            None => (*self.untiled).clone(),
-            Some(t) => {
-                assemble(self.model, &self.nest, &self.layout, Some(t), Arc::clone(&self.base))
-            }
-        }
-    }
-
-    /// Analysis of an arbitrary layout (padding candidates), served by the
-    /// cross-layout displacement cache.
-    pub fn analysis_for_layout(
+    /// A line group's analysis of `layout` (`None`: the base layout) under
+    /// an optional tiling; a trivial tiling analyses the original nest.
+    /// Byte-identical to [`CmeModel::analyze`] with the group's model. The
+    /// base layout borrows the group's candidate base; other layouts
+    /// (padding candidates) are served by the cross-layout displacement
+    /// cache.
+    fn analysis(
         &self,
-        layout: &MemoryLayout,
+        group: &LineGroup,
+        layout: Option<&MemoryLayout>,
         tiles: Option<&TileSizes>,
     ) -> NestAnalysis {
-        if *layout == self.layout {
-            return self.analysis(tiles);
-        }
-        self.foreign_layout_analysis(self.model, layout, tiles)
-    }
-
-    /// As [`Self::analysis_for_layout`] for an arbitrary level's model —
-    /// all levels draw displacement sets from the shared line-keyed cache.
-    fn foreign_layout_analysis(
-        &self,
-        model: CmeModel,
-        layout: &MemoryLayout,
-        tiles: Option<&TileSizes>,
-    ) -> NestAnalysis {
+        let tiles = tiles.filter(|t| !t.is_trivial(&self.nest));
+        let Some(layout) = layout.filter(|l| **l != self.layout) else {
+            return match tiles {
+                None => (*group.untiled).clone(),
+                Some(t) => assemble(
+                    group.model,
+                    &self.nest,
+                    &self.layout,
+                    Some(t),
+                    Arc::clone(&group.base),
+                ),
+            };
+        };
         let addr = layout.address_forms(&self.nest);
         let base = Arc::new(candidate_base_with(&self.nest, &addr, |a, b| {
             cached_displacements(
@@ -368,68 +327,57 @@ impl EvalEngine {
                 self.provider.as_deref(),
                 &addr[a],
                 &addr[b],
-                model.cache.line,
+                group.model.cache.line,
                 &self.spans,
             )
         }));
-        let effective = tiles.filter(|t| !t.is_trivial(&self.nest));
-        assemble(model, &self.nest, layout, effective, base)
+        assemble(group.model, &self.nest, layout, tiles, base)
     }
 
-    /// Analysis at outer level `k` (0 = L2) of the base layout under an
-    /// optional tiling, assembled from that level's shared candidate base.
-    fn outer_analysis(&self, k: usize, tiles: Option<&TileSizes>) -> NestAnalysis {
-        let level = &self.outer[k];
-        match tiles.filter(|t| !t.is_trivial(&self.nest)) {
-            None => (*level.untiled).clone(),
-            Some(t) => {
-                assemble(level.model, &self.nest, &self.layout, Some(t), Arc::clone(&level.base))
-            }
+    /// Run `pass` once per line group and return its per-level results
+    /// (one per group level) in hierarchy order.
+    fn per_level<T>(&self, mut pass: impl FnMut(&LineGroup) -> Vec<T>) -> Vec<T> {
+        let mut out: Vec<(usize, T)> = Vec::with_capacity(self.hierarchy.depth());
+        for group in &self.groups {
+            out.extend(group.levels.iter().copied().zip(pass(group)));
         }
+        out.sort_by_key(|&(k, _)| k);
+        out.into_iter().map(|(_, r)| r).collect()
     }
 
-    /// Analysis at outer level `k` under an explicit layout (padding
-    /// candidates at outer levels).
-    fn outer_analysis_for_layout(
+    /// Sampled estimates of every level, in hierarchy order: one pass per
+    /// line group, every level classifying the same points (same seed).
+    fn sampled_levels(
         &self,
-        k: usize,
-        layout: &MemoryLayout,
+        layout: Option<&MemoryLayout>,
         tiles: Option<&TileSizes>,
-    ) -> NestAnalysis {
-        if *layout == self.layout {
-            return self.outer_analysis(k, tiles);
-        }
-        self.foreign_layout_analysis(self.outer[k].model, layout, tiles)
+        seed: u64,
+    ) -> Vec<MissEstimate> {
+        self.per_level(|g| {
+            sampled(&self.analysis(g, layout, tiles), &g.caches, &self.sampling, seed)
+        })
     }
 
-    /// Attach the per-level breakdown to an L1 estimate. `level_est`
-    /// produces the outer level estimates (index 0 = L2). No-op for the
-    /// legacy single-level engine — the estimate stays breakdown-free and
-    /// byte-identical to the pre-hierarchy form.
-    fn decorate(
-        &self,
-        l1: MissEstimate,
-        mut level_est: impl FnMut(usize) -> MissEstimate,
-    ) -> MissEstimate {
-        if self.is_legacy() {
-            return l1;
+    /// Fold per-level estimates (hierarchy order) into one: the top-level
+    /// fields are L1's, and a non-legacy hierarchy adds the per-level
+    /// breakdown. A legacy single-level engine returns L1's estimate
+    /// unchanged — breakdown-free and byte-identical to the
+    /// pre-hierarchy form.
+    fn decorate(&self, per_level: Vec<MissEstimate>) -> MissEstimate {
+        if self.hierarchy.is_legacy() {
+            return one_level(per_level);
         }
-        let mut levels = Vec::with_capacity(1 + self.outer.len());
-        levels.push(LevelEstimate {
-            cache: self.model.cache,
-            miss_latency: self.hierarchy.levels()[0].miss_latency,
-            per_ref: l1.per_ref.clone(),
-            solver: l1.solver,
-        });
-        for (k, level) in self.outer.iter().enumerate() {
-            let est = level_est(k);
-            levels.push(LevelEstimate {
-                cache: level.model.cache,
+        let levels = per_level
+            .iter()
+            .zip(self.hierarchy.levels())
+            .map(|(est, level)| LevelEstimate {
+                cache: level.spec,
                 miss_latency: level.miss_latency,
-                per_ref: est.per_ref,
+                per_ref: est.per_ref.clone(),
                 solver: est.solver,
-            });
-        }
+            })
+            .collect();
+        let l1 = per_level.into_iter().next().expect("a hierarchy has at least L1");
         MissEstimate { levels: Some(levels), ..l1 }
     }
 
@@ -446,8 +394,7 @@ impl EvalEngine {
         if let Some(t) = effective {
             h = fold_seed(h, &t.0);
         }
-        let l1 = self.analysis(effective).estimate(&self.sampling, h);
-        self.decorate(l1, |k| sampled(&self.outer_analysis(k, effective), &self.sampling, h))
+        self.decorate(self.sampled_levels(None, effective, h))
     }
 
     /// Estimate under an explicit layout and sampling seed — the
@@ -465,53 +412,37 @@ impl EvalEngine {
         sample_seed: u64,
         incumbent: Option<f64>,
     ) -> MissEstimate {
-        let an = match layout {
-            None => self.analysis(tiles),
-            Some(l) => self.analysis_for_layout(l, tiles),
-        };
+        if self.hierarchy.depth() > 1 {
+            return self.decorate(self.sampled_levels(layout, tiles, sample_seed));
+        }
+        let an = self.analysis(&self.groups[0], layout, tiles);
         // The abandon test compares L1 replacement-miss counts, so a
         // weighted-cost incumbent must be divided back by the (single)
         // level's latency. Legacy latency is 1.0 — an exact no-op.
-        let l1_incumbent = if self.outer.is_empty() {
-            incumbent.map(|c| c / self.hierarchy.levels()[0].miss_latency)
-        } else {
-            None
-        };
-        let l1 = sampled_vs_incumbent(&an, &self.sampling, sample_seed, l1_incumbent);
-        self.decorate(l1, |k| {
-            let level_an = match layout {
-                None => self.outer_analysis(k, tiles),
-                Some(l) => self.outer_analysis_for_layout(k, l, tiles),
-            };
-            sampled(&level_an, &self.sampling, sample_seed)
-        })
+        let incumbent = incumbent.map(|c| c / self.hierarchy.levels()[0].miss_latency);
+        self.decorate(vec![sampled_vs_incumbent(&an, &self.sampling, sample_seed, incumbent)])
     }
 
     /// Exhaustive (every-point) classification of the base layout under
     /// an optional tiling, per level — the hierarchy-aware counterpart of
-    /// `analysis(tiles).exhaustive()`, which it equals byte-for-byte on
-    /// the legacy single-level model.
+    /// [`NestAnalysis::exhaustive`], which it equals byte-for-byte on the
+    /// legacy single-level model.
     pub fn exhaustive_report(&self, tiles: Option<&TileSizes>) -> MissReport {
-        let l1 = exhaustive(&self.analysis(tiles));
-        if self.is_legacy() {
-            return l1;
+        let per_level = self.per_level(|g| exhaustive(&self.analysis(g, None, tiles), &g.caches));
+        if self.hierarchy.is_legacy() {
+            return one_level(per_level);
         }
-        let mut levels = Vec::with_capacity(1 + self.outer.len());
-        levels.push(LevelReport {
-            cache: self.model.cache,
-            miss_latency: self.hierarchy.levels()[0].miss_latency,
-            per_ref: l1.per_ref.clone(),
-            solver: l1.solver,
-        });
-        for (k, level) in self.outer.iter().enumerate() {
-            let rep = exhaustive(&self.outer_analysis(k, tiles));
-            levels.push(LevelReport {
-                cache: level.model.cache,
+        let levels = per_level
+            .iter()
+            .zip(self.hierarchy.levels())
+            .map(|(rep, level)| LevelReport {
+                cache: level.spec,
                 miss_latency: level.miss_latency,
-                per_ref: rep.per_ref,
+                per_ref: rep.per_ref.clone(),
                 solver: rep.solver,
-            });
-        }
+            })
+            .collect();
+        let l1 = per_level.into_iter().next().expect("a hierarchy has at least L1");
         MissReport { levels: Some(levels), ..l1 }
     }
 

@@ -1,8 +1,10 @@
 //! Exhaustive and sampled miss estimation.
 
 use crate::classify::{classify_point, Classification};
+use crate::interference::{InterferenceEngine, LevelState};
 use crate::model::NestAnalysis;
 use crate::sampling::SamplingConfig;
+use crate::CacheSpec;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -247,9 +249,9 @@ impl MissEstimate {
     }
 
     /// Conservative CI half-width for the overall replacement ratio
-    /// (average of the per-reference half-widths; references are analysed
-    /// at the same sampled iterations, so this ignores cross-reference
-    /// correlation — documented in DESIGN.md).
+    /// (average of the per-reference half-widths). References are
+    /// analysed at the same sampled iterations, so their errors are
+    /// correlated; this average does not model that correlation.
     pub fn replacement_ci_half_width(&self) -> f64 {
         if self.per_ref.is_empty() {
             return 0.0;
@@ -258,10 +260,90 @@ impl MissEstimate {
     }
 }
 
+/// One classification pass over a set of points for every cache level
+/// of one line size: the levels share each point's source search and
+/// interference walk, and tally their verdicts separately.
+struct Pass<'a> {
+    an: &'a NestAnalysis,
+    engine: InterferenceEngine,
+    /// The verdicts of the current (point, reference) pair, per level.
+    verdicts: Vec<Classification>,
+    /// Counts per level, per reference.
+    counts: Vec<Vec<Counts>>,
+}
+
+impl<'a> Pass<'a> {
+    fn new(an: &'a NestAnalysis, levels: &[CacheSpec]) -> Self {
+        Pass {
+            an,
+            engine: InterferenceEngine::new(levels, an.solver_nodes),
+            verdicts: vec![Classification::Hit; levels.len()],
+            counts: vec![vec![Counts::default(); an.addr.len()]; levels.len()],
+        }
+    }
+
+    /// Classify every reference at analysis point `v`.
+    fn point(&mut self, v: &[i64]) {
+        for r in 0..self.an.addr.len() {
+            classify_point(self.an, &mut self.engine, v, r, &mut self.verdicts);
+            for (counts, &c) in self.counts.iter_mut().zip(&self.verdicts) {
+                counts[r].add(c);
+            }
+        }
+    }
+
+    /// Per level: the per-reference counts and the solver statistics.
+    fn finish(self) -> Vec<(Vec<Counts>, SolverStats)> {
+        self.counts.into_iter().zip(self.engine.levels.iter().map(LevelState::stats)).collect()
+    }
+}
+
+/// A sampled estimate from `n` classified points of a space of `volume`.
+fn estimate_of(
+    counts: &[Counts],
+    solver: SolverStats,
+    cfg: &SamplingConfig,
+    n: u64,
+    volume: u64,
+) -> MissEstimate {
+    let per_ref = counts
+        .iter()
+        .map(|c| {
+            let p_cold = c.cold as f64 / n as f64;
+            let p_repl = c.replacement as f64 / n as f64;
+            RefEstimate { p_cold, p_repl, half_width: cfg.ci_half_width(p_cold + p_repl, n) }
+        })
+        .collect();
+    MissEstimate { n_samples: n, volume, exact: false, per_ref, solver, levels: None }
+}
+
+/// The estimate of a space small enough to classify whole: exact
+/// probabilities, no confidence interval.
+fn exact_estimate(rep: MissReport, volume: u64) -> MissEstimate {
+    let ratio = |k: u64, c: &Counts| if c.points == 0 { 0.0 } else { k as f64 / c.points as f64 };
+    let per_ref = rep
+        .per_ref
+        .iter()
+        .map(|c| RefEstimate {
+            p_cold: ratio(c.cold, c),
+            p_repl: ratio(c.replacement, c),
+            half_width: 0.0,
+        })
+        .collect();
+    MissEstimate {
+        n_samples: volume,
+        volume,
+        exact: true,
+        per_ref,
+        solver: rep.solver,
+        levels: None,
+    }
+}
+
 /// Sampled estimate that may stop early against an incumbent (early-
 /// abandon sequential sampling — the `SamplingConfig::early_abandon`
-/// knob). `incumbent_misses` is the best replacement-miss count seen so
-/// far by the surrounding search.
+/// knob) for the analysis' own cache. `incumbent_misses` is the best
+/// replacement-miss count seen so far by the surrounding search.
 ///
 /// The sampled point set is the same as [`sampled`]'s for the same seed,
 /// but points are classified *sequentially in sorted rank order*, and
@@ -281,17 +363,15 @@ pub fn sampled_vs_incumbent(
     seed: u64,
     incumbent_misses: Option<f64>,
 ) -> MissEstimate {
+    let full = || one_level(sampled(an, &[an.cache], cfg, seed));
     let (Some(abandon), Some(incumbent)) = (cfg.early_abandon, incumbent_misses) else {
-        return sampled(an, cfg, seed);
+        return full();
     };
     let volume = an.space.shape_volume();
     let want = cfg.sample_size();
-    if volume <= want || !incumbent.is_finite() {
-        return sampled(an, cfg, seed);
-    }
     let n_refs = an.addr.len();
-    if n_refs == 0 {
-        return sampled(an, cfg, seed);
+    if volume <= want || !incumbent.is_finite() || n_refs == 0 {
+        return full();
     }
     // Same rank set as `sampled`, in sorted order so the sequential
     // prefix is independent of the draw-set's iteration order.
@@ -303,21 +383,13 @@ pub fn sampled_vs_incumbent(
     let r_inc = (incumbent / scale).clamp(0.0, 1.0);
     let upper = (r_inc + cfg.ci_half_width(r_inc, want)) * scale;
     let check_every = abandon.check_every.max(1);
-    let mut engine = an.engine();
-    let mut per_ref = vec![Counts::default(); n_refs];
-    let mut repl_total = 0u64;
+    let mut pass = Pass::new(an, &[an.cache]);
     let mut done = 0u64;
     for &rank in &ranks {
-        let v = an.space.point_at_global_rank(rank);
-        for r in 0..n_refs {
-            let c = classify_point(an, &mut engine, &v, r);
-            per_ref[r].add(c);
-            if c == Classification::Replacement {
-                repl_total += 1;
-            }
-        }
+        pass.point(&an.space.point_at_global_rank(rank));
         done += 1;
         if done.is_multiple_of(check_every) && done < want {
+            let repl_total: u64 = pass.counts[0].iter().map(|c| c.replacement).sum();
             let p = repl_total as f64 / (done * n_refs as u64) as f64;
             let lower = (p - cfg.ci_half_width(p, done)) * scale;
             if lower > upper {
@@ -325,22 +397,14 @@ pub fn sampled_vs_incumbent(
             }
         }
     }
-    let per_ref = per_ref
-        .iter()
-        .map(|c| {
-            let p_cold = c.cold as f64 / done as f64;
-            let p_repl = c.replacement as f64 / done as f64;
-            RefEstimate { p_cold, p_repl, half_width: cfg.ci_half_width(p_cold + p_repl, done) }
-        })
-        .collect();
-    MissEstimate {
-        n_samples: done,
-        volume,
-        exact: false,
-        per_ref,
-        solver: an.stats_of(&engine),
-        levels: None,
-    }
+    let (counts, solver) = one_level(pass.finish());
+    estimate_of(&counts, solver, cfg, done, volume)
+}
+
+/// The one result of a one-level pass.
+pub(crate) fn one_level<T>(mut per_level: Vec<T>) -> T {
+    debug_assert_eq!(per_level.len(), 1);
+    per_level.pop().expect("a one-level pass yields one result")
 }
 
 /// Draw `want` distinct point ranks in `[0, volume)` — the shared sample
@@ -384,72 +448,49 @@ fn draw_space_ranks(space: &cme_loopnest::ExecSpace, want: u64, seed: u64) -> Ve
     }
 }
 
-/// Exhaustively classify every (point, reference) pair.
-pub fn exhaustive(an: &NestAnalysis) -> MissReport {
-    let n_refs = an.addr.len();
-    let mut per_ref = vec![Counts::default(); n_refs];
-    let mut engine = an.engine();
-    an.space.for_each_point(|v| {
-        for r in 0..n_refs {
-            per_ref[r].add(classify_point(an, &mut engine, v, r));
-        }
-    });
-    MissReport { per_ref, solver: an.stats_of(&engine), levels: None }
+/// Exhaustively classify every (point, reference) pair for each of
+/// `levels` (which share the analysis' line size) in one pass; one report
+/// per level, in order.
+pub fn exhaustive(an: &NestAnalysis, levels: &[CacheSpec]) -> Vec<MissReport> {
+    let mut pass = Pass::new(an, levels);
+    an.space.for_each_point(|v| pass.point(v));
+    pass.finish()
+        .into_iter()
+        .map(|(per_ref, solver)| MissReport { per_ref, solver, levels: None })
+        .collect()
 }
 
-/// Sampled estimate with the given configuration and RNG seed.
+/// Sampled estimate with the given configuration and RNG seed for each of
+/// `levels` (which share the analysis' line size); one estimate per
+/// level, in order, every level classifying the same points.
 ///
 /// Sampling is simple random sampling *without replacement* over the
 /// global point ranks (deterministic: the sample set depends only on the
-/// seed). The sample is classified sequentially on one interference
-/// engine — callers parallelise across candidates instead, so one
-/// estimate never spawns threads of its own.
-pub fn sampled(an: &NestAnalysis, cfg: &SamplingConfig, seed: u64) -> MissEstimate {
+/// seed). The sample is classified sequentially in one pass — callers
+/// parallelise across candidates instead, so one estimate never spawns
+/// threads of its own.
+pub fn sampled(
+    an: &NestAnalysis,
+    levels: &[CacheSpec],
+    cfg: &SamplingConfig,
+    seed: u64,
+) -> Vec<MissEstimate> {
     // Exact iteration count: hull volume for rectangular spaces, the
     // triangular shape's count otherwise (the hull rank bijection is
     // still what the sampler draws from — see `draw_space_ranks`).
     let volume = an.space.shape_volume();
     let want = cfg.sample_size();
     if volume <= want {
-        let rep = exhaustive(an);
-        let per_ref = rep
-            .per_ref
-            .iter()
-            .map(|c| RefEstimate {
-                p_cold: if c.points == 0 { 0.0 } else { c.cold as f64 / c.points as f64 },
-                p_repl: if c.points == 0 { 0.0 } else { c.replacement as f64 / c.points as f64 },
-                half_width: 0.0,
-            })
-            .collect();
-        return MissEstimate {
-            n_samples: volume,
-            volume,
-            exact: true,
-            per_ref,
-            solver: rep.solver,
-            levels: None,
-        };
+        return exhaustive(an, levels).into_iter().map(|rep| exact_estimate(rep, volume)).collect();
     }
-    let ranks = draw_space_ranks(&an.space, want, seed);
-    let mut engine = an.engine();
-    let mut counts = vec![Counts::default(); an.addr.len()];
-    for &rank in &ranks {
-        let v = an.space.point_at_global_rank(rank);
-        for (r, c) in counts.iter_mut().enumerate() {
-            c.add(classify_point(an, &mut engine, &v, r));
-        }
+    let mut pass = Pass::new(an, levels);
+    for rank in draw_space_ranks(&an.space, want, seed) {
+        pass.point(&an.space.point_at_global_rank(rank));
     }
-    let solver = an.stats_of(&engine);
-    let n = want;
-    let per_ref = counts
-        .iter()
-        .map(|c| {
-            let p_cold = c.cold as f64 / n as f64;
-            let p_repl = c.replacement as f64 / n as f64;
-            RefEstimate { p_cold, p_repl, half_width: cfg.ci_half_width(p_cold + p_repl, n) }
-        })
-        .collect();
-    MissEstimate { n_samples: n, volume, exact: false, per_ref, solver, levels: None }
+    pass.finish()
+        .into_iter()
+        .map(|(counts, solver)| estimate_of(&counts, solver, cfg, want, volume))
+        .collect()
 }
 
 #[cfg(test)]
@@ -475,7 +516,7 @@ mod tests {
         let (nest, layout) = stream_nest(64);
         let model = CmeModel::new(CacheSpec::direct_mapped(256, 32));
         let an = model.analyze(&nest, &layout, None);
-        let rep = exhaustive(&an);
+        let rep = an.exhaustive();
         assert_eq!(rep.per_ref[0].points, 64);
         assert_eq!(rep.per_ref[0].cold, 8);
         assert_eq!(rep.per_ref[0].replacement, 0);
@@ -487,7 +528,7 @@ mod tests {
         let (nest, layout) = stream_nest(64);
         let model = CmeModel::new(CacheSpec::direct_mapped(256, 32));
         let an = model.analyze(&nest, &layout, None);
-        let est = sampled(&an, &SamplingConfig::paper(), 1);
+        let est = an.estimate(&SamplingConfig::paper(), 1);
         assert!(est.exact);
         assert!((est.miss_ratio() - 0.125).abs() < 1e-12);
         assert_eq!(est.n_samples, 64);
@@ -498,8 +539,8 @@ mod tests {
         let (nest, layout) = stream_nest(4096);
         let model = CmeModel::new(CacheSpec::direct_mapped(256, 32));
         let an = model.analyze(&nest, &layout, None);
-        let exact = exhaustive(&an).miss_ratio();
-        let est = sampled(&an, &SamplingConfig::paper(), 42);
+        let exact = an.exhaustive().miss_ratio();
+        let est = an.estimate(&SamplingConfig::paper(), 42);
         assert!(!est.exact);
         assert_eq!(est.n_samples, 164);
         assert!(
@@ -514,10 +555,10 @@ mod tests {
         let (nest, layout) = stream_nest(4096);
         let model = CmeModel::new(CacheSpec::direct_mapped(256, 32));
         let an = model.analyze(&nest, &layout, None);
-        let a = sampled(&an, &SamplingConfig::paper(), 7);
-        let b = sampled(&an, &SamplingConfig::paper(), 7);
+        let a = an.estimate(&SamplingConfig::paper(), 7);
+        let b = an.estimate(&SamplingConfig::paper(), 7);
         assert_eq!(a.miss_ratio(), b.miss_ratio());
-        let c = sampled(&an, &SamplingConfig::paper(), 8);
+        let c = an.estimate(&SamplingConfig::paper(), 8);
         // Different seed may (and here does) sample different points;
         // ratios may coincide for a stream, so just check determinism ran.
         assert_eq!(c.n_samples, 164);

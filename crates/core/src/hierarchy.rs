@@ -6,9 +6,12 @@
 //! an ordered list of [`CacheLevel`]s — innermost (L1) first — each a
 //! [`CacheSpec`] geometry plus a **miss latency**: the cost, in arbitrary
 //! time units, of fetching a line into that level from the next level out
-//! (memory, for the last level). The analysis runs the CMEs per level
-//! (each level classifies the full access stream independently — the
-//! standard per-level CME extension) and the search objective becomes
+//! (memory, for the last level). The analysis runs the CMEs per level —
+//! the standard per-level CME extension. Every level classifies the same
+//! sampled points, and levels with one line size share the source search
+//! and the interference walk, each keeping only its own set-conflict
+//! test (see [`crate::engine`]), so each level's figures equal a one-level
+//! analysis of its geometry. The search objective becomes
 //!
 //! ```text
 //! weighted cost = Σ_level  replacement_misses(level) × miss_latency(level)

@@ -29,7 +29,9 @@
 //!
 //! Monotonicity (an older source sees a superset of the interference of a
 //! more recent one) means a single interference query per point decides
-//! the classification — the key to the solver's speed.
+//! the classification — the key to the solver's speed. On a cache
+//! hierarchy, steps 2 and 3 run once for all levels that share a line
+//! size; only the set test of step 3 is per level.
 //!
 //! The explicit equation systems themselves (polyhedra over iteration
 //! variables and the cache wrap variable) are also materialised in

@@ -1,7 +1,7 @@
 //! Top-level CME analysis API.
 
 use crate::classify::{classify_point, Classification};
-use crate::estimate::{exhaustive, sampled, MissEstimate, MissReport, SolverStats};
+use crate::estimate::{exhaustive, one_level, sampled, MissEstimate, MissReport};
 use crate::interference::InterferenceEngine;
 use crate::lexmax::SuffixRanges;
 use crate::reuse::ReuseCandidate;
@@ -116,39 +116,31 @@ impl NestAnalysis {
     pub fn candidates(&self) -> &[Vec<ReuseCandidate>] {
         self.lifted.get_or_init(|| crate::reuse::lift_base(&self.base, &self.space))
     }
-    /// A fresh per-thread interference engine.
+    /// A fresh per-thread interference engine for this analysis' cache.
     pub fn engine(&self) -> InterferenceEngine {
-        InterferenceEngine::new(self.cache, self.solver_nodes)
-    }
-
-    pub(crate) fn stats_of(&self, e: &InterferenceEngine) -> SolverStats {
-        SolverStats {
-            queries: e.budget.queries,
-            fallbacks: e.budget.fallbacks,
-            nodes: e.budget.nodes_used,
-            assoc_fallbacks: e.assoc_fallbacks,
-        }
+        InterferenceEngine::new(&[self.cache], self.solver_nodes)
     }
 
     /// Classify one (analysis point, reference) pair.
     pub fn classify(&self, v: &[i64], ref_idx: usize) -> Classification {
-        let mut engine = self.engine();
-        classify_point(self, &mut engine, v, ref_idx)
+        let mut c = [Classification::Hit];
+        classify_point(self, &mut self.engine(), v, ref_idx, &mut c);
+        c[0]
     }
 
     /// Exhaustive analysis of every point (small spaces / validation).
     pub fn exhaustive(&self) -> MissReport {
-        exhaustive(self)
+        one_level(exhaustive(self, &[self.cache]))
     }
 
     /// Sampled estimate (paper §2.3).
     pub fn estimate(&self, cfg: &SamplingConfig, seed: u64) -> MissEstimate {
-        sampled(self, cfg, seed)
+        one_level(sampled(self, &[self.cache], cfg, seed))
     }
 
     /// Convenience: sampled estimate with the paper's 164-point setup.
     pub fn estimate_paper(&self, seed: u64) -> MissEstimate {
-        sampled(self, &SamplingConfig::paper(), seed)
+        self.estimate(&SamplingConfig::paper(), seed)
     }
 }
 

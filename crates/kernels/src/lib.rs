@@ -10,8 +10,8 @@
 //! chosen so that arrays alias in an 8 KB direct-mapped cache, matching
 //! the conflict-dominated behaviour the paper reports for them.
 //!
-//! See `DESIGN.md` §3 for the substitution rationale and the per-kernel
-//! notes in each module.
+//! Each module's notes say, per kernel, what the reconstruction keeps
+//! from the paper's description and what it substitutes.
 
 pub mod bihar;
 pub mod linalg;

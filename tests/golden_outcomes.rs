@@ -15,7 +15,7 @@ use cme_suite::api::{
     BaselineKind, CompareOutcome, CompareRequest, NestSource, OptimizeRequest, Outcome,
     PaddingMode, Session, StrategySpec,
 };
-use cme_suite::cme::{CacheHierarchy, CacheSpec};
+use cme_suite::cme::{CacheHierarchy, CacheLevel, CacheSpec};
 use cme_suite::loopnest::builder::{sub, NestBuilder};
 use cme_suite::loopnest::LoopNest;
 use std::path::PathBuf;
@@ -165,6 +165,21 @@ fn family_requests() -> Vec<(&'static str, OptimizeRequest)> {
                     80.0,
                 ))
                 .with_seed(28),
+        ),
+        // Three levels over two line sizes: L1 and L2 share 32 B lines
+        // (one classification pass), L3's 64 B lines need their own.
+        (
+            "tiling_l1l2l3",
+            OptimizeRequest::new(NestSource::Inline(t2d(16)), StrategySpec::Tiling)
+                .with_cache(
+                    CacheHierarchy::new(vec![
+                        CacheLevel::new(kb1, 4.0),
+                        CacheLevel::new(CacheSpec { size: 8192, line: 32, assoc: 2 }, 20.0),
+                        CacheLevel::new(CacheSpec { size: 32768, line: 64, assoc: 4 }, 100.0),
+                    ])
+                    .expect("non-empty hierarchy"),
+                )
+                .with_seed(36),
         ),
         // Triangular registry kernels: pin the affine-bounds wire format
         // (`lo_aff`/`hi_aff` in inline echoes stay absent here — these

@@ -8,7 +8,13 @@
 //!    no-op). This is what keeps every pre-hierarchy request, golden
 //!    snapshot and service cache key stable.
 //!
-//! 2. **Latency monotonicity on traces** — inserting a larger *nested*
+//! 2. **Levels are independent** — classifying a hierarchy shares the
+//!    sample, the source search and the interference walk between the
+//!    levels of one line size, yet each level's slice of the estimate
+//!    (per-reference figures *and* solver statistics) equals the
+//!    one-level estimate of that geometry.
+//!
+//! 3. **Latency monotonicity on traces** — inserting a larger *nested*
 //!    outer level (same line size, sets a multiple of the inner sets,
 //!    ways ≥ inner ways) while splitting the inner level's miss latency
 //!    with it never increases the weighted cost of a fixed tiling on a
@@ -21,7 +27,8 @@
 
 use cme_suite::cachesim::{simulate_nest_hierarchy, CacheGeometry, LevelGeometry};
 use cme_suite::cme::CacheSpec;
-use cme_suite::cme::{CacheHierarchy, CmeModel, EvalEngine, SamplingConfig};
+use cme_suite::cme::{CacheHierarchy, CacheLevel, CmeModel, EvalEngine, SamplingConfig};
+use cme_suite::kernels::all_kernels;
 use cme_suite::loopnest::{LoopNest, MemoryLayout, TileSizes};
 use proptest::prelude::*;
 
@@ -39,8 +46,111 @@ fn t2d(n: i64) -> LoopNest {
     nb.finish().unwrap()
 }
 
+/// A hierarchy of `geoms.len()` levels from `(line, assoc, sets)` index
+/// triples, with level `twin` forced onto level `twin − 1`'s line so that
+/// at least two levels share one line size.
+fn hierarchy_of(geoms: &[(usize, usize, u32)], twin: usize) -> CacheHierarchy {
+    let lines = [16i64, 32, 64];
+    let assocs = [1i64, 2, 4];
+    let mut line_idx: Vec<usize> = geoms.iter().map(|g| g.0).collect();
+    line_idx[twin] = line_idx[twin - 1];
+    let levels = geoms
+        .iter()
+        .zip(line_idx)
+        .enumerate()
+        .map(|(k, (&(_, a, sets_pow), l))| {
+            let (line, assoc) = (lines[l], assocs[a]);
+            let spec = CacheSpec { size: (1i64 << sets_pow) * line * assoc, line, assoc };
+            CacheLevel::new(spec, (1 + 9 * k) as f64)
+        })
+        .collect();
+    CacheHierarchy::new(levels).unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Every level's slice of a multi-level estimate is the one-level
+    /// estimate of that geometry: canonical and padded-layout sampled
+    /// estimates, and exhaustive reports on tiny spaces.
+    #[test]
+    fn each_level_slice_equals_its_one_level_estimate(
+        kernel in 0usize..64,
+        exact in any::<bool>(),
+        size_pick in 0i64..4,
+        geoms in prop::collection::vec((0usize..3, 0usize..3, 1u32..6), 2..=3),
+        twin_pick in 0usize..2,
+        tile_picks in prop::collection::vec(1i64..1000, 4),
+        pads in prop::collection::vec((0i64..16, 0i64..3), 8),
+        seed in 0u64..1000,
+    ) {
+        // Any registry kernel can be drawn; TRMM (triangular) is drawn
+        // as often as the rest together.
+        let kernels = all_kernels();
+        let spec = if kernel % 2 == 0 {
+            cme_suite::kernels::kernel_by_name("TRMM").unwrap()
+        } else {
+            kernels[(kernel / 2) % kernels.len()]
+        };
+        // Even sizes (some kernels need them): exact spaces hold at most
+        // the 164-point sample, sampled ones more.
+        let size = 2 * match (spec.depth, exact) {
+            (2, true) => 2 + size_pick,
+            (2, false) => 8 + size_pick,
+            (3, true) => 1 + size_pick.min(1),
+            (3, false) => 4 + size_pick,
+            (_, true) => 1,
+            (_, false) => 2 + size_pick.min(1),
+        };
+        let nest = (spec.build)(size);
+        let layout = MemoryLayout::contiguous(&nest);
+        let h = hierarchy_of(&geoms, 1 + twin_pick % (geoms.len() - 1));
+        let cfg = SamplingConfig::paper();
+        let tiles = TileSizes(
+            nest.spans().iter().zip(&tile_picks).map(|(&s, &p)| 1 + p % s).collect(),
+        );
+        let padded = MemoryLayout::with_padding(
+            &nest,
+            &pads.iter().cycle().take(nest.arrays.len()).map(|p| 4 * p.0).collect::<Vec<_>>(),
+            &nest
+                .arrays
+                .iter()
+                .zip(pads.iter().cycle())
+                .map(|(a, p)| {
+                    let mut intra = vec![0i64; a.extents.len()];
+                    intra[0] = p.1;
+                    intra
+                })
+                .collect::<Vec<_>>(),
+        );
+
+        let multi = EvalEngine::new_hierarchy(&h, &nest, &layout, cfg, seed);
+        let canonical = multi.estimate_canonical(Some(&tiles));
+        let seeded = multi.estimate_seeded(Some(&padded), Some(&tiles), seed ^ 0x5EED, None);
+        let tiny = nest.spans().iter().product::<i64>() <= 64;
+        let report = tiny.then(|| multi.exhaustive_report(Some(&tiles)));
+        prop_assert_eq!(canonical.exact, exact, "{} at size {}", spec.name, size);
+        for (k, level) in h.levels().iter().enumerate() {
+            let one = EvalEngine::new(CmeModel::new(level.spec), &nest, &layout, cfg, seed);
+            let want = one.estimate_canonical(Some(&tiles));
+            let got = &canonical.levels.as_ref().unwrap()[k];
+            prop_assert_eq!(got.cache, level.spec);
+            prop_assert_eq!(&got.per_ref, &want.per_ref, "canonical L{} of {}", k + 1, spec.name);
+            prop_assert_eq!(got.solver, want.solver, "canonical L{} solver", k + 1);
+
+            let want = one.estimate_seeded(Some(&padded), Some(&tiles), seed ^ 0x5EED, None);
+            let got = &seeded.levels.as_ref().unwrap()[k];
+            prop_assert_eq!(&got.per_ref, &want.per_ref, "padded L{} of {}", k + 1, spec.name);
+            prop_assert_eq!(got.solver, want.solver, "padded L{} solver", k + 1);
+
+            if let Some(report) = &report {
+                let want = one.exhaustive_report(Some(&tiles));
+                let got = &report.levels.as_ref().unwrap()[k];
+                prop_assert_eq!(&got.per_ref, &want.per_ref, "exhaustive L{}", k + 1);
+                prop_assert_eq!(got.solver, want.solver, "exhaustive L{} solver", k + 1);
+            }
+        }
+    }
 
     /// One-level hierarchy ⇒ weighted cost ≡ legacy estimate, bitwise.
     #[test]
