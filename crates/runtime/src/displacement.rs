@@ -20,7 +20,7 @@
 //! end to end — and expanded into a fresh `Vec<Vec<i64>>` on a hit, so a
 //! retained entry costs one allocation rather than one per vector.
 
-use crate::memo::{Memo, Stored};
+use crate::memo::{Footprint, Memo, Stored};
 use cme_core::{DisplacementKey, DisplacementProvider};
 use std::sync::Arc;
 
@@ -34,16 +34,30 @@ pub struct FlatSet {
 impl Stored for FlatSet {
     type Value = Vec<Vec<i64>>;
 
-    fn store(set: &Vec<Vec<i64>>) -> Self {
+    fn store(set: &Vec<Vec<i64>>) -> Option<Self> {
         let width = set.first().map_or(0, Vec::len);
         debug_assert!(set.iter().all(|v| v.len() == width), "displacements share one width");
-        FlatSet { width, count: set.len(), values: set.iter().flatten().copied().collect() }
+        Some(FlatSet { width, count: set.len(), values: set.iter().flatten().copied().collect() })
     }
 
-    fn load(&self) -> Vec<Vec<i64>> {
-        (0..self.count)
-            .map(|i| self.values[i * self.width..(i + 1) * self.width].to_vec())
-            .collect()
+    fn load(&self) -> Option<Vec<Vec<i64>>> {
+        Some(
+            (0..self.count)
+                .map(|i| self.values[i * self.width..(i + 1) * self.width].to_vec())
+                .collect(),
+        )
+    }
+}
+
+impl Footprint for FlatSet {
+    fn footprint(&self) -> usize {
+        std::mem::size_of_val(&*self.values)
+    }
+}
+
+impl Footprint for DisplacementKey {
+    fn footprint(&self) -> usize {
+        std::mem::size_of_val(&*self.coeffs) + std::mem::size_of_val(&*self.spans)
     }
 }
 
@@ -113,7 +127,7 @@ mod tests {
     #[test]
     fn empty_and_zero_width_sets_round_trip() {
         for set in [Vec::new(), vec![Vec::new()]] {
-            assert_eq!(FlatSet::store(&set).load(), set);
+            assert_eq!(FlatSet::store(&set).and_then(|flat| flat.load()), Some(set));
         }
     }
 

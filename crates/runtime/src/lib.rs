@@ -5,8 +5,8 @@
 //! This crate owns everything whose natural lifetime is the *process*:
 //!
 //! * [`Memo`] — the one bounded, shard-locked memo type, with the hit,
-//!   miss and eviction counters `/metrics` reports ([`CacheStats`]).
-//!   Every cache below is one.
+//!   miss and eviction counters and the byte footprint `/metrics`
+//!   reports ([`CacheStats`]). Every cache below is one.
 //! * [`DisplacementCache`] — the engine's per-request Diophantine memo
 //!   promoted to a process-wide store, plugged into every engine through
 //!   the [`cme_core::DisplacementProvider`] seam.
@@ -16,13 +16,16 @@
 //!   optional append-only on-disk layer ([`DiskTier`]), versioned by a
 //!   schema fingerprint and flushed every 32 entries and on shutdown.
 //! * the `/lint` and `/compare` memos, sized from the outcome entry
-//!   count.
+//!   count, and the request-body alias in front of all three
+//!   ([`BodyAliases`]).
 //!
 //! [`Runtime`] bundles them plus a [`cme_api::Session`] wired to the
 //! displacement store; the serve router drives requests through it.
-//! Nothing here changes what a request answers — every tier stores
-//! timing-stripped values and byte-identity with all tiers disabled is
-//! pinned by tests — only how often the process recomputes.
+//! Nothing here changes what a request answers — every answer memo
+//! stores the timing-stripped answer as its served JSON text
+//! ([`Encoded`]), encoded once, and byte-identity with all tiers
+//! disabled is pinned by tests — only how often the process recomputes
+//! and re-encodes.
 
 #![forbid(unsafe_code)]
 
@@ -36,9 +39,10 @@ pub mod persist;
 pub use displacement::DisplacementCache;
 pub use flight::{FlightResult, FlightStats, Singleflight};
 pub use lru::Lru;
-pub use memo::{CacheStats, Memo, Stored};
+pub use memo::{CacheStats, Footprint, Memo, Stored};
 pub use outcome::{
-    canonical_compare_key, canonical_key, canonical_lint_key, Tier, TieredOutcomeCache,
+    canonical_compare_key, canonical_key, canonical_lint_key, Answer, BodyAliases, BodyKey,
+    BodyView, Encoded, Route, Tier, TieredOutcomeCache, MAX_ALIASED_BODY,
 };
 pub use persist::{schema_fingerprint, DiskStats, DiskTier};
 
@@ -54,9 +58,9 @@ use std::sync::Arc;
 /// cache; 0 disables that cache.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RuntimeConfig {
-    /// Hot-tier outcome cache entries. The `/lint` memo gets the same
-    /// count and the `/compare` memo a quarter of it, at most 256 (see
-    /// [`Runtime::new`]).
+    /// Hot-tier outcome cache entries. The `/lint` memo and the
+    /// request-body alias get the same count and the `/compare` memo a
+    /// quarter of it, at most 256 (see [`Runtime::new`]).
     pub outcome_entries: usize,
     /// Process-wide displacement store entries.
     pub displacement_entries: usize,
@@ -94,13 +98,14 @@ pub enum Resolution {
     LeaderFailed,
 }
 
-/// Why [`Runtime::optimize`] failed: a request-level API error (maps to
-/// the usual 4xx statuses) or a panicked flight leader (a server fault —
-/// 500).
+/// Why a [`Runtime`] route failed: a request-level API error (maps to
+/// the usual 4xx statuses), a panicked flight leader or an answer that
+/// could not be encoded (server faults — 500).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RuntimeError {
     Api(ApiError),
     LeaderFailed,
+    Encode(String),
 }
 
 impl std::fmt::Display for RuntimeError {
@@ -110,6 +115,7 @@ impl std::fmt::Display for RuntimeError {
             RuntimeError::LeaderFailed => {
                 write!(f, "internal error: the coalesced computation for this request failed")
             }
+            RuntimeError::Encode(e) => write!(f, "response serialisation failed: {e}"),
         }
     }
 }
@@ -122,22 +128,30 @@ impl From<ApiError> for RuntimeError {
     }
 }
 
+impl From<serde_json::Error> for RuntimeError {
+    fn from(e: serde_json::Error) -> Self {
+        RuntimeError::Encode(e.to_string())
+    }
+}
+
 /// The process-wide evaluation state: one per server process, shared by
 /// every worker. All methods take `&self`.
 pub struct Runtime {
     session: Session,
     displacements: Arc<DisplacementCache>,
     outcomes: TieredOutcomeCache,
-    lints: Memo<String, LintOutcome>,
-    compares: Memo<String, CompareOutcome>,
-    flights: Singleflight<Result<Outcome, ApiError>>,
+    lints: Memo<String, Encoded<LintOutcome>>,
+    compares: Memo<String, Encoded<CompareOutcome>>,
+    aliases: BodyAliases,
+    flights: Singleflight<Result<Encoded<Outcome>, RuntimeError>>,
 }
 
 impl Runtime {
-    /// Build every memo from `config`. The `/lint` memo holds as many
-    /// entries as the outcome cache. Tournaments are much larger values,
-    /// so the `/compare` memo holds a quarter as many, at most 256,
-    /// which keeps its footprint comparable; 0 still disables both.
+    /// Build every memo from `config`. The `/lint` memo and the
+    /// request-body alias hold as many entries as the outcome cache.
+    /// Tournaments are much larger values, so the `/compare` memo holds a
+    /// quarter as many, at most 256, which keeps its footprint
+    /// comparable; 0 still disables all four.
     pub fn new(config: &RuntimeConfig) -> Self {
         let n = config.outcome_entries;
         let displacements = Arc::new(DisplacementCache::new(config.displacement_entries));
@@ -152,6 +166,7 @@ impl Runtime {
                 0 => 0,
                 n => (n / 4).clamp(1, 256),
             }),
+            aliases: Memo::new(n),
             flights: Singleflight::new(),
         }
     }
@@ -170,69 +185,116 @@ impl Runtime {
         &self.outcomes
     }
 
-    pub fn lints(&self) -> &Memo<String, LintOutcome> {
+    pub fn lints(&self) -> &Memo<String, Encoded<LintOutcome>> {
         &self.lints
     }
 
-    pub fn compares(&self) -> &Memo<String, CompareOutcome> {
+    pub fn compares(&self) -> &Memo<String, Encoded<CompareOutcome>> {
         &self.compares
     }
 
-    pub fn flights(&self) -> &Singleflight<Result<Outcome, ApiError>> {
+    pub fn aliases(&self) -> &BodyAliases {
+        &self.aliases
+    }
+
+    pub fn flights(&self) -> &Singleflight<Result<Encoded<Outcome>, RuntimeError>> {
         &self.flights
     }
 
-    /// Answer an optimize request through every tier: outcome cache
-    /// (hot, then disk), then a coalesced computation. The outcome is
-    /// the timing-stripped form; callers re-stamp `wall_ms`.
-    pub fn optimize(&self, req: &OptimizeRequest) -> (Result<Outcome, RuntimeError>, Resolution) {
-        let key = canonical_key(req);
-        if let Some((hit, tier)) = self.outcomes.get_tiered(&key) {
-            let how = match tier {
-                Tier::Hot => Resolution::CacheHot,
-                Tier::Disk => Resolution::CacheDisk,
-            };
-            return (Ok(hit), how);
+    /// The canonical key a body sent to `route` parsed to, if a memo
+    /// answered it before and the alias is still held. Bodies over
+    /// [`MAX_ALIASED_BODY`] are not looked up.
+    fn aliased(&self, route: Route, body: &[u8]) -> Option<Arc<str>> {
+        if body.len() > MAX_ALIASED_BODY {
+            return None;
         }
-        match self.flights.run(&key, || self.session.run(req)) {
+        self.aliases.get(&(route, body) as &dyn BodyView)
+    }
+
+    /// Remember that `body` parses to `key`, after a memo answered it.
+    fn alias(&self, route: Route, body: Option<&[u8]>, key: &str) {
+        if let Some(body) = body.filter(|body| body.len() <= MAX_ALIASED_BODY) {
+            self.aliases.insert(BodyKey::new(route, body), &Arc::from(key));
+        }
+    }
+
+    /// Answer an `/optimize` body from the memo without parsing it: the
+    /// alias gives its canonical key, the outcome tiers the answer.
+    /// `None` when either is gone — the caller then parses the body.
+    pub fn recall_optimize(&self, body: &[u8]) -> Option<(Encoded<Outcome>, Resolution)> {
+        let key = self.aliased(Route::Optimize, body)?;
+        self.outcomes.lookup(&key).map(|(hit, tier)| (hit, tier.into()))
+    }
+
+    /// [`Self::recall_optimize`] for `/lint`.
+    pub fn recall_lint(&self, body: &[u8]) -> Option<Encoded<LintOutcome>> {
+        self.lints.get_stored(&*self.aliased(Route::Lint, body)?)
+    }
+
+    /// [`Self::recall_optimize`] for `/compare`.
+    pub fn recall_compare(&self, body: &[u8]) -> Option<Encoded<CompareOutcome>> {
+        self.compares.get_stored(&*self.aliased(Route::Compare, body)?)
+    }
+
+    /// Answer an optimize request through every tier: outcome cache
+    /// (hot, then disk), then a coalesced computation. The answer is the
+    /// stored text; callers re-stamp `wall_ms`. `body`, the bytes `req`
+    /// was parsed from, is aliased to the request's key when a memo
+    /// answers, so its byte-identical repeats can be recalled.
+    pub fn optimize(
+        &self,
+        req: &OptimizeRequest,
+        body: Option<&[u8]>,
+    ) -> (Result<Encoded<Outcome>, RuntimeError>, Resolution) {
+        let key = canonical_key(req);
+        if let Some((hit, tier)) = self.outcomes.lookup(&key) {
+            self.alias(Route::Optimize, body, &key);
+            return (Ok(hit), tier.into());
+        }
+        let compute = || Ok(Encoded::new(&self.session.run(req)?)?);
+        match self.flights.run(&key, compute) {
             FlightResult::Led(result) => {
                 if let Ok(out) = &result {
-                    self.outcomes.insert(key, out);
+                    self.outcomes.insert_encoded(key, out.clone());
                 }
-                (
-                    result.map(|out| out.without_timing()).map_err(RuntimeError::Api),
-                    Resolution::Computed,
-                )
+                (result, Resolution::Computed)
             }
-            FlightResult::Joined(result) => (
-                result.map(|out| out.without_timing()).map_err(RuntimeError::Api),
-                Resolution::Coalesced,
-            ),
+            FlightResult::Joined(result) => (result, Resolution::Coalesced),
             FlightResult::LeaderFailed => {
                 (Err(RuntimeError::LeaderFailed), Resolution::LeaderFailed)
             }
         }
     }
 
-    /// Answer a lint request through the lint memo-cache.
-    pub fn lint(&self, req: &LintRequest) -> (Result<LintOutcome, ApiError>, bool) {
+    /// Answer a lint request through the lint memo-cache; `body` as for
+    /// [`Self::optimize`].
+    pub fn lint(
+        &self,
+        req: &LintRequest,
+        body: Option<&[u8]>,
+    ) -> (Result<Encoded<LintOutcome>, RuntimeError>, bool) {
         let key = canonical_lint_key(req);
-        if let Some(hit) = self.lints.get(&key) {
+        if let Some(hit) = self.lints.get_stored(&key) {
+            self.alias(Route::Lint, body, &key);
             return (Ok(hit), true);
         }
-        let result = self.session.lint(req);
+        let result = self
+            .session
+            .lint(req)
+            .map_err(RuntimeError::from)
+            .and_then(|out| Ok(Encoded::new(&out)?));
         if let Ok(out) = &result {
-            self.lints.insert(key, out);
+            self.lints.insert_stored(key, out.clone());
         }
-        (result.map(|out| out.without_timing()), false)
+        (result, false)
     }
 
     /// Answer a slice of optimize requests, in request order: look each
     /// one up in the outcome cache (both tiers), deduplicate the misses by
     /// canonical key, run them as one parallel `Session::run_batch`, and
     /// cache every success. Duplicates share one search's answer. Hits
-    /// come back timing-stripped (`wall_ms` 0) and fresh outcomes carry
-    /// their search time.
+    /// are decoded from the stored text (`wall_ms` 0) and fresh outcomes
+    /// carry their search time.
     pub fn optimize_batch(&self, reqs: &[OptimizeRequest]) -> Vec<Result<Outcome, ApiError>> {
         let keys: Vec<String> = reqs.iter().map(canonical_key).collect();
         // Per slot: `Ok` holds a cache hit, `Err(u)` points at `fresh[u]`,
@@ -272,23 +334,28 @@ impl Runtime {
     /// Answer a compare request: the whole-tournament memo first, then
     /// every entrant through [`Self::optimize_batch`] — a tournament warms
     /// `/optimize` and vice versa — and the first failure in line-up
-    /// order, or else the ranking. The outcome is timing-stripped;
-    /// callers re-stamp `wall_ms`.
-    pub fn compare(&self, req: &CompareRequest) -> (Result<CompareOutcome, ApiError>, bool) {
+    /// order, or else the ranking. The answer is the stored text; callers
+    /// re-stamp `wall_ms`. `body` as for [`Self::optimize`].
+    pub fn compare(
+        &self,
+        req: &CompareRequest,
+        body: Option<&[u8]>,
+    ) -> (Result<Encoded<CompareOutcome>, RuntimeError>, bool) {
         let key = canonical_compare_key(req);
-        if let Some(hit) = self.compares.get(&key) {
+        if let Some(hit) = self.compares.get_stored(&key) {
+            self.alias(Route::Compare, body, &key);
             return (Ok(hit), true);
         }
-        let ranked = req.entrants().and_then(|entrants| {
+        let ranked = req.entrants().map_err(RuntimeError::from).and_then(|entrants| {
             let outcomes = self
                 .optimize_batch(&entrants)
                 .into_iter()
                 .map(|result| result.map(|out| out.without_timing()))
                 .collect::<Result<_, _>>()?;
-            Ok(CompareOutcome::rank(outcomes, 0))
+            Ok(Encoded::new(&CompareOutcome::rank(outcomes, 0))?)
         });
         if let Ok(ranked) = &ranked {
-            self.compares.insert(key, ranked);
+            self.compares.insert_stored(key, ranked.clone());
         }
         (ranked, false)
     }
@@ -297,5 +364,14 @@ impl Runtime {
     /// entries written.
     pub fn flush(&self) -> usize {
         self.outcomes.flush()
+    }
+}
+
+impl From<Tier> for Resolution {
+    fn from(tier: Tier) -> Self {
+        match tier {
+            Tier::Hot => Resolution::CacheHot,
+            Tier::Disk => Resolution::CacheDisk,
+        }
     }
 }

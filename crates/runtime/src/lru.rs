@@ -116,6 +116,11 @@ impl<K: Hash + Eq + Clone, V> Lru<K, V> {
         self.map.is_empty()
     }
 
+    /// Every entry, in no particular order.
+    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
+        self.entries.iter().map(|e| (&e.key, &e.value))
+    }
+
     /// Keys in recency order, most recent first (test/diagnostic helper).
     pub fn keys_by_recency(&self) -> Vec<&K> {
         let mut keys = Vec::with_capacity(self.map.len());

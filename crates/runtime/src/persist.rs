@@ -19,18 +19,25 @@
 //!   outcome bodies stay on disk until a key actually hits, so start-up
 //!   cost is one sequential read of the index, not a deserialisation of
 //!   every stored outcome.
+//! * **Built from the stored text.** An entry line is assembled from the
+//!   outcome's [`Encoded`] text as `{"key":<escaped key>,"outcome":<text>}`
+//!   — the exact bytes serialising the line as a struct gives, so files
+//!   written before and after stay interchangeable — and the outcome is
+//!   never encoded again for disk.
 //! * **Append-only.** Inserts buffer in memory until `FLUSH_EVERY` (32)
 //!   are pending, then [`DiskTier::insert`] appends them itself, so a
-//!   crash loses at most 31 entries and flushed lines are freed. `/shutdown` and SIGTERM call [`DiskTier::flush`] for the
-//!   rest; the count it returns (`/shutdown`'s `flushed`) covers only
-//!   what that flush wrote. Within a file, later entries for a key shadow
-//!   earlier ones; since every search is deterministic per canonical key,
+//!   crash loses at most 31 entries and flushed lines are freed.
+//!   `/shutdown` and SIGTERM call [`DiskTier::flush`] for the rest; the
+//!   count it returns (`/shutdown`'s `flushed`) covers only what that
+//!   flush wrote. Within a file, later entries for a key shadow earlier
+//!   ones; since every search is deterministic per canonical key,
 //!   shadowed entries are byte-equal anyway and re-warming a key is
 //!   skipped entirely.
 //! * **Torn tails repaired.** A crash mid-append can leave a final line
 //!   without its `\n`. Loading skips that line, and the next flush first
 //!   terminates it, so new entries never glue onto the torn bytes.
 
+use crate::outcome::Encoded;
 use cme_api::Outcome;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -44,11 +51,18 @@ use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 /// linear scan that de-duplicates pending keys.
 const FLUSH_EVERY: usize = 32;
 
-/// One persisted entry.
+/// One persisted entry, as loading reads it back ([`disk_line`] writes
+/// the same bytes).
 #[derive(Serialize, Deserialize)]
 struct DiskLine {
     key: String,
     outcome: Outcome,
+}
+
+/// The line persisting `outcome` under `key`, built from its stored text.
+fn disk_line(key: &str, outcome: &Encoded<Outcome>) -> Option<String> {
+    let key = serde_json::to_string(&key).ok()?;
+    Some(format!("{{\"key\":{key},\"outcome\":{}}}", outcome.text()))
 }
 
 #[derive(Serialize, Deserialize)]
@@ -241,15 +255,12 @@ impl DiskTier {
     /// `FLUSH_EVERY` are pending, which appends them all. Keys already
     /// on disk or already pending are skipped — re-warming a
     /// deterministic outcome never grows the file.
-    pub fn insert(&self, key: &str, outcome: &Outcome) {
+    pub fn insert(&self, key: &str, outcome: &Encoded<Outcome>) {
         let mut state = self.state();
         if state.index.contains_key(key) || state.pending.iter().any(|(k, _)| k == key) {
             return;
         }
-        let Ok(json) = serde_json::to_string(&DiskLine {
-            key: key.to_string(),
-            outcome: outcome.without_timing(),
-        }) else {
+        let Some(json) = disk_line(key, outcome) else {
             return;
         };
         state.pending.push((key.to_string(), json));
@@ -382,15 +393,33 @@ mod tests {
         Outcome { kernel: format!("k{i}"), ..sentinel_outcome() }
     }
 
+    fn encoded(i: usize) -> Encoded<Outcome> {
+        Encoded::new(&outcome(i)).unwrap()
+    }
+
     fn key(i: usize) -> String {
         format!("key-{i}")
     }
 
     /// The stored bytes of a served entry equal what was inserted.
     fn served(tier: &DiskTier, i: usize) -> bool {
-        tier.get(&key(i)).is_some_and(|o| {
-            serde_json::to_string(&o).ok() == serde_json::to_string(&outcome(i)).ok()
-        })
+        tier.get(&key(i)).is_some_and(|o| serde_json::to_string(&o).unwrap() == encoded(i).text())
+    }
+
+    #[test]
+    fn a_line_built_from_the_stored_text_is_the_serialised_struct() {
+        // Keys that need escaping too: quotes, backslashes, control
+        // characters and non-ASCII text.
+        for key in ["key-0", r#"{"nest":{"Kernel":{"name":"MM"}}}"#, "tab\tand\\ \u{1} é"] {
+            let out = Outcome { wall_ms: 41, ..outcome(3) };
+            let line = disk_line(key, &Encoded::new(&out).unwrap()).unwrap();
+            let want = serde_json::to_string(&DiskLine {
+                key: key.to_string(),
+                outcome: out.without_timing(),
+            })
+            .unwrap();
+            assert_eq!(line, want);
+        }
     }
 
     #[test]
@@ -399,7 +428,7 @@ mod tests {
         {
             let tier = DiskTier::new(&dir);
             for i in 0..40 {
-                tier.insert(&key(i), &outcome(i));
+                tier.insert(&key(i), &encoded(i));
             }
             // Dropped without `flush` — a crash as far as the file knows.
         }
@@ -414,8 +443,8 @@ mod tests {
     fn a_torn_tail_is_terminated_before_the_next_append() {
         let dir = scratch("torn");
         let tier = DiskTier::new(&dir);
-        tier.insert(&key(0), &outcome(0));
-        tier.insert(&key(1), &outcome(1));
+        tier.insert(&key(0), &encoded(0));
+        tier.insert(&key(1), &encoded(1));
         assert_eq!(tier.flush(), 2);
         // A crash mid-append: the last line is cut inside its JSON.
         let line = serde_json::to_string(&DiskLine { key: key(2), outcome: outcome(2) }).unwrap();
@@ -426,7 +455,7 @@ mod tests {
         let tier = DiskTier::new(&dir);
         assert!(served(&tier, 0) && served(&tier, 1), "entries before the tear are served");
         assert!(tier.get(&key(2)).is_none(), "the torn entry is never served");
-        tier.insert(&key(3), &outcome(3));
+        tier.insert(&key(3), &encoded(3));
         assert_eq!(tier.flush(), 1);
         assert!(served(&tier, 3), "the appended entry reads back from its recorded span");
 

@@ -43,11 +43,11 @@ fn displacement_sharing_is_byte_invisible() {
     });
     for req in [tiling_request(24, 7), tiling_request(24, 7), tiling_request(20, 9)] {
         let plain = without.run(&req).expect("plain run succeeds");
-        let (routed, _) = shared.optimize(&req);
+        let (routed, _) = shared.optimize(&req, None);
         let routed = routed.expect("runtime run succeeds");
         assert_eq!(
             serde_json::to_string(&plain.without_timing()).expect("serialises"),
-            serde_json::to_string(&routed.without_timing()).expect("serialises"),
+            routed.text(),
             "provider on/off must be byte-identical"
         );
     }
@@ -63,9 +63,9 @@ fn displacement_sharing_is_byte_invisible() {
 fn tiers_resolve_in_order_hot_then_compute() {
     let rt = Runtime::new(&RuntimeConfig::default());
     let req = tiling_request(16, 3);
-    let (first, how_first) = rt.optimize(&req);
+    let (first, how_first) = rt.optimize(&req, None);
     assert_eq!(how_first, Resolution::Computed);
-    let (second, how_second) = rt.optimize(&req);
+    let (second, how_second) = rt.optimize(&req, None);
     assert_eq!(how_second, Resolution::CacheHot);
     assert_eq!(
         first.expect("computed"),
@@ -84,7 +84,7 @@ fn persistent_tier_survives_restart_and_promotes() {
     // First process: compute, then flush on shutdown.
     let warm = {
         let rt = Runtime::new(&config);
-        let (out, how) = rt.optimize(&req);
+        let (out, how) = rt.optimize(&req, None);
         assert_eq!(how, Resolution::Computed);
         assert_eq!(rt.flush(), 1, "one outcome flushed");
         out.expect("computed")
@@ -92,17 +92,17 @@ fn persistent_tier_survives_restart_and_promotes() {
     // Second process over the same directory: the first request is a
     // disk-tier hit, promoted so the next is hot.
     let rt = Runtime::new(&config);
-    let (restored, how) = rt.optimize(&req);
+    let (restored, how) = rt.optimize(&req, None);
     assert_eq!(how, Resolution::CacheDisk);
     assert_eq!(
-        serde_json::to_string(&warm).expect("serialises"),
-        serde_json::to_string(&restored.expect("disk hit")).expect("serialises"),
+        warm.text(),
+        restored.expect("disk hit").text(),
         "restart must reproduce the outcome byte for byte"
     );
     let disk = rt.outcomes().disk_stats().expect("disk tier configured");
     assert!(disk.loaded);
     assert_eq!((disk.entries, disk.hits), (1, 1));
-    let (_, how) = rt.optimize(&req);
+    let (_, how) = rt.optimize(&req, None);
     assert_eq!(how, Resolution::CacheHot, "disk hit was promoted");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -119,12 +119,12 @@ fn foreign_schema_files_are_ignored_not_served() {
     let config = RuntimeConfig { cache_dir: Some(dir.clone()), ..RuntimeConfig::default() };
     let rt = Runtime::new(&config);
     let req = tiling_request(16, 5);
-    let (_, how) = rt.optimize(&req);
+    let (_, how) = rt.optimize(&req, None);
     assert_eq!(how, Resolution::Computed, "foreign bytes must never answer");
     assert_eq!(rt.flush(), 1);
     // The rewritten file is now native: a fresh runtime reads it back.
     let rt2 = Runtime::new(&config);
-    let (_, how) = rt2.optimize(&req);
+    let (_, how) = rt2.optimize(&req, None);
     assert_eq!(how, Resolution::CacheDisk);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -141,9 +141,8 @@ fn concurrent_identical_requests_coalesce() {
             .map(|_| {
                 s.spawn(|| {
                     gate.wait();
-                    let (out, _) = rt.optimize(&req);
-                    serde_json::to_string(&out.expect("run succeeds").without_timing())
-                        .expect("serialises")
+                    let (out, _) = rt.optimize(&req, None);
+                    out.expect("run succeeds").text().to_string()
                 })
             })
             .collect();
@@ -198,7 +197,7 @@ fn a_family_the_nest_cannot_take_builds_no_engine() {
             .map(|strategy| {
                 let req = OptimizeRequest::new(nest.clone(), strategy)
                     .with_cache(CacheSpec::direct_mapped(1024, 32));
-                rt.optimize(&req).0
+                rt.optimize(&req, None).0
             })
             .collect();
     match &answers[0] {
@@ -215,7 +214,8 @@ fn a_family_the_nest_cannot_take_builds_no_engine() {
 #[test]
 fn tournaments_share_the_batch_path() {
     use cme_api::cme::CacheSpec;
-    use cme_api::{CompareRequest, NestSource, OptimizeRequest, StrategySpec};
+    use cme_api::{CompareOutcome, CompareRequest, NestSource, OptimizeRequest, StrategySpec};
+    use cme_runtime::{Encoded, Stored};
 
     let tournament = |kernel: &str, strategies: Vec<StrategySpec>| {
         let base = OptimizeRequest::new(NestSource::kernel_sized(kernel, 16), StrategySpec::Tiling)
@@ -227,15 +227,18 @@ fn tournaments_share_the_batch_path() {
     // displacement work of its single entrant.
     let solo = Runtime::new(&RuntimeConfig::default());
     let twice = Runtime::new(&RuntimeConfig::default());
-    let one = solo.compare(&tournament("T2D", vec![StrategySpec::CacheOblivious])).0;
+    let one = solo.compare(&tournament("T2D", vec![StrategySpec::CacheOblivious]), None).0;
     let two = twice
-        .compare(&tournament(
-            "T2D",
-            vec![StrategySpec::CacheOblivious, StrategySpec::CacheOblivious],
-        ))
+        .compare(
+            &tournament("T2D", vec![StrategySpec::CacheOblivious, StrategySpec::CacheOblivious]),
+            None,
+        )
         .0;
-    assert_eq!(one.expect("runs").entries.len(), 1);
-    assert_eq!(two.expect("runs").entries.len(), 2);
+    let entries = |answer: Result<Encoded<CompareOutcome>, _>| {
+        answer.expect("runs").load().expect("decodes").entries.len()
+    };
+    assert_eq!(entries(one), 1);
+    assert_eq!(entries(two), 2);
     let (a, b) = (solo.displacements().stats(), twice.displacements().stats());
     assert_eq!((a.hits, a.misses), (b.hits, b.misses), "the duplicate ran no second search");
 
@@ -246,7 +249,7 @@ fn tournaments_share_the_batch_path() {
         "TRMM",
         vec![StrategySpec::LatencyBased, StrategySpec::Interchange, StrategySpec::CacheOblivious],
     );
-    let (answer, hit) = rt.compare(&failing);
+    let (answer, hit) = rt.compare(&failing, None);
     assert!(!hit);
     let msg = answer.expect_err("interchange refuses the triangular nest").to_string();
     assert!(msg.contains("the interchange search supports rectangular loop bounds only"), "{msg}");

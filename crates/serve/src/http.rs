@@ -290,21 +290,24 @@ pub fn status_reason(status: u16) -> &'static str {
 }
 
 /// Serialise a response, with the `Connection` header reflecting whether
-/// the server will keep the stream open.
+/// the server will keep the stream open. Head and body go out in one
+/// write: under `TCP_NODELAY` each write is a segment of its own.
 pub fn write_response<W: Write>(
     w: &mut W,
     resp: &HttpResponse,
     keep_alive: bool,
 ) -> std::io::Result<()> {
-    let head = format!(
+    let mut wire = Vec::with_capacity(resp.body.len() + 128);
+    write!(
+        wire,
         "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
         resp.status,
         status_reason(resp.status),
         resp.body.len(),
         if keep_alive { "keep-alive" } else { "close" }
-    );
-    w.write_all(head.as_bytes())?;
-    w.write_all(resp.body.as_bytes())?;
+    )?;
+    wire.extend_from_slice(resp.body.as_bytes());
+    w.write_all(&wire)?;
     w.flush()
 }
 
@@ -441,6 +444,34 @@ mod tests {
         assert!(text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"));
         assert!(text.contains("Connection: close\r\n"));
         assert!(text.ends_with("{\"error\":\"queue full\"}"));
+    }
+
+    #[test]
+    fn a_response_is_one_write() {
+        /// Accepts everything, counting the calls.
+        struct Counting {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let body = "x".repeat(5000);
+        for (resp, keep_alive) in
+            [(HttpResponse::json(200, body), true), (HttpResponse::error(404, "no"), false)]
+        {
+            let mut w = Counting { writes: 0, bytes: Vec::new() };
+            write_response(&mut w, &resp, keep_alive).unwrap();
+            assert_eq!(w.writes, 1, "head and body in one write");
+            assert!(w.bytes.ends_with(resp.body.as_bytes()));
+        }
     }
 
     #[test]

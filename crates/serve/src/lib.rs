@@ -17,9 +17,10 @@
 //!   memory, and write timeouts bound the send side too.
 //! * **Shared runtime state.** Cross-request evaluation state — the
 //!   tiered outcome cache (optionally disk-backed via `cache_dir`), the
-//!   process-wide displacement cache and in-flight request coalescing —
-//!   lives in [`cme_runtime`] and is owned by the [`router::App`]. All
-//!   of it is visible in `GET /metrics` ([`metrics`]).
+//!   process-wide displacement cache, in-flight request coalescing and
+//!   the request-body alias — lives in [`cme_runtime`] and is owned by
+//!   the [`router::App`]. Cache hits are served from the stored answer
+//!   text. All of it is visible in `GET /metrics` ([`metrics`]).
 //! * **Layers testable without sockets.** HTTP framing ([`http`]),
 //!   routing ([`router`]), the queue/pool and the caches are all plain
 //!   data-in/data-out modules; only [`server`] owns a `TcpListener`.

@@ -189,6 +189,7 @@ impl Metrics {
             ("cache".into(), Value::Object(cache)),
             ("lint_cache".into(), Value::Object(cache_section(runtime.lints().stats()))),
             ("compare_cache".into(), Value::Object(cache_section(runtime.compares().stats()))),
+            ("alias_cache".into(), Value::Object(cache_section(runtime.aliases().stats()))),
             (
                 "displacement_cache".into(),
                 Value::Object(cache_section(runtime.displacements().stats())),
@@ -232,6 +233,7 @@ fn cache_section(stats: CacheStats) -> Vec<(String, Value)> {
         ("hits".into(), Value::UInt(stats.hits)),
         ("misses".into(), Value::UInt(stats.misses)),
         ("evictions".into(), Value::UInt(stats.evictions)),
+        ("bytes".into(), Value::UInt(stats.bytes as u64)),
     ]
 }
 
@@ -276,6 +278,7 @@ mod tests {
             "cache",
             "lint_cache",
             "compare_cache",
+            "alias_cache",
             "displacement_cache",
             "coalescing",
             "latency_us",
@@ -289,6 +292,8 @@ mod tests {
         assert_eq!(snap.get("lint_cache").unwrap().get("capacity"), Some(&Value::UInt(8)));
         // The compare memo holds a quarter of the outcome entry count.
         assert_eq!(snap.get("compare_cache").unwrap().get("capacity"), Some(&Value::UInt(2)));
+        // The request-body alias holds as many entries as the outcome cache.
+        assert_eq!(snap.get("alias_cache").unwrap().get("capacity"), Some(&Value::UInt(8)));
         assert_eq!(snap.get("displacement_cache").unwrap().get("capacity"), Some(&Value::UInt(16)));
         assert!(snap.get("coalescing").unwrap().get("leaders").is_some());
         assert!(snap.get("routes").unwrap().get("lint").is_some());
@@ -317,10 +322,11 @@ mod tests {
 
     #[test]
     fn cache_sections_render_one_shape_with_disk_last() {
-        let stats = CacheStats { entries: 3, capacity: 8, hits: 5, misses: 2, evictions: 1 };
+        let stats =
+            CacheStats { entries: 3, capacity: 8, hits: 5, misses: 2, evictions: 1, bytes: 640 };
         assert_eq!(
             serde_json::to_string(&Value::Object(cache_section(stats))).unwrap(),
-            r#"{"entries":3,"capacity":8,"hits":5,"misses":2,"evictions":1}"#
+            r#"{"entries":3,"capacity":8,"hits":5,"misses":2,"evictions":1,"bytes":640}"#
         );
         let runtime = Runtime::new(&cme_runtime::RuntimeConfig {
             outcome_entries: 8,
@@ -329,7 +335,14 @@ mod tests {
         let snap = Metrics::new().snapshot(1, &runtime);
         assert_eq!(
             serde_json::to_string(snap.get("cache").unwrap()).unwrap(),
-            r#"{"entries":0,"capacity":8,"hits":0,"misses":0,"evictions":0,"disk":null}"#
+            r#"{"entries":0,"capacity":8,"hits":0,"misses":0,"evictions":0,"bytes":0,"disk":null}"#
         );
+        for section in ["lint_cache", "compare_cache", "alias_cache", "displacement_cache"] {
+            let fields: Vec<&str> = match snap.get(section) {
+                Some(Value::Object(fields)) => fields.iter().map(|(k, _)| k.as_str()).collect(),
+                other => panic!("`{section}` is not an object: {other:?}"),
+            };
+            assert_eq!(fields, ["entries", "capacity", "hits", "misses", "evictions", "bytes"]);
+        }
     }
 }

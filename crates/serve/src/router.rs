@@ -19,12 +19,16 @@
 //! extras); the paper's defaults are filled in **before** parsing, so a
 //! minimal `{"nest": ..., "strategy": ...}` is a complete request and maps
 //! to the same cache entry as its fully spelled-out form.
+//!
+//! The memo-cached routes first ask the runtime to recall the body: a
+//! byte-identical repeat of a body a memo answered before is served from
+//! the stored text without being parsed.
 
 use crate::http::{HttpRequest, HttpResponse};
-use crate::metrics::Metrics;
+use crate::metrics::{Histogram, Metrics};
 use cme_api::cme::{CacheSpec, SamplingConfig};
 use cme_api::{ApiError, GaConfig, LintRequest, OptimizeRequest};
-use cme_runtime::{Resolution, Runtime, RuntimeConfig, RuntimeError};
+use cme_runtime::{Answer, Encoded, Resolution, Runtime, RuntimeConfig, RuntimeError};
 use serde::Value;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
@@ -148,40 +152,29 @@ impl App {
         }
     }
 
-    /// `POST /optimize`: parse → canonicalise → tiers. The runtime tries
-    /// the hot outcome cache, then the persistent tier, then coalesces
-    /// with any identical in-flight computation before actually running
-    /// the search. The outcome comes back timing-stripped; this handler
-    /// re-stamps `wall_ms` with the time the request actually took here
-    /// (near-zero for hits, the search time for leaders).
+    /// `POST /optimize`: recall, or parse → canonicalise → tiers. The
+    /// runtime tries the hot outcome cache, then the persistent tier,
+    /// then coalesces with any identical in-flight computation before
+    /// actually running the search. The answer comes back as its stored
+    /// text; this handler re-stamps `wall_ms` with the time the request
+    /// actually took here (near-zero for hits, the search time for
+    /// leaders).
     fn optimize(&self, body: &[u8]) -> HttpResponse {
         let started = Instant::now();
-        let req = match parse_optimize_request(body) {
-            Ok(req) => req,
-            Err(resp) => return resp,
+        let (result, how) = match self.runtime.recall_optimize(body) {
+            Some((hit, how)) => (Ok(hit), how),
+            None => match parse_optimize_request(body) {
+                Ok(req) => self.runtime.optimize(&req, Some(body)),
+                Err(resp) => return resp,
+            },
         };
-        let (result, how) = self.runtime.optimize(&req);
-        match result {
-            Ok(mut out) => {
-                out.wall_ms = started.elapsed().as_millis() as u64;
-                match how {
-                    Resolution::CacheHot | Resolution::CacheDisk => {
-                        self.metrics.optimize_hit_us.record(started.elapsed());
-                    }
-                    Resolution::Computed | Resolution::Coalesced | Resolution::LeaderFailed => {
-                        self.metrics.optimize_cold_us.record(started.elapsed());
-                    }
-                }
-                ok_json(&out)
+        let latency = match how {
+            Resolution::CacheHot | Resolution::CacheDisk => &self.metrics.optimize_hit_us,
+            Resolution::Computed | Resolution::Coalesced | Resolution::LeaderFailed => {
+                &self.metrics.optimize_cold_us
             }
-            Err(RuntimeError::Api(e)) => api_error_response(&e),
-            // The flight this request joined died with its leader; the
-            // fault is the server's, not the request's.
-            Err(RuntimeError::LeaderFailed) => HttpResponse::error(
-                500,
-                "the computation this request was coalesced onto failed; retry",
-            ),
-        }
+        };
+        served(result, started, latency)
     }
 
     /// `POST /analyze`: pure model queries are already fast (no GA), so
@@ -213,31 +206,19 @@ impl App {
 
     /// `POST /lint`: static dependence analysis + kernel lints. Lints
     /// are deterministic and searchless, yet memo-cached like `/optimize`
-    /// (same canonical-key rule, own LRU) so repeated editor/CI polls of
-    /// one kernel cost a hash lookup.
+    /// (same canonical-key rule, own LRU, same recall) so repeated
+    /// editor/CI polls of one kernel cost a hash lookup.
     fn lint(&self, body: &[u8]) -> HttpResponse {
         let started = Instant::now();
-        let mut value = match parse_json_body(body) {
-            Ok(v) => v,
-            Err(resp) => return resp,
+        let (result, hit) = match self.runtime.recall_lint(body) {
+            Some(hit) => (Ok(hit), true),
+            None => match parse_lint_request(body) {
+                Ok(req) => self.runtime.lint(&req, Some(body)),
+                Err(resp) => return resp,
+            },
         };
-        fill_defaults(&mut value, &[("cache", serde_json::to_value(&CacheSpec::paper_8k()))]);
-        let req: LintRequest = match serde_json::from_value(&value) {
-            Ok(req) => req,
-            Err(e) => return HttpResponse::error(400, &format!("bad lint request: {e}")),
-        };
-        match self.runtime.lint(&req) {
-            (Ok(mut out), hit) => {
-                out.wall_ms = started.elapsed().as_millis() as u64;
-                if hit {
-                    self.metrics.lint_hit_us.record(started.elapsed());
-                } else {
-                    self.metrics.lint_cold_us.record(started.elapsed());
-                }
-                ok_json(&out)
-            }
-            (Err(e), _) => api_error_response(&e),
-        }
+        let latency = if hit { &self.metrics.lint_hit_us } else { &self.metrics.lint_cold_us };
+        served(result, started, latency)
     }
 
     /// `POST /compare`: a strategy tournament over one base request.
@@ -246,26 +227,20 @@ impl App {
     /// `StrategySpec` JSON values, and defaults to the standard four-way
     /// line-up when absent. The runtime answers from its compare memo
     /// when it can, and runs the entrants through the same batch path as
-    /// `/batch` otherwise; the outcome comes back timing-stripped and
+    /// `/batch` otherwise; the answer comes back as its stored text and
     /// `wall_ms` is re-stamped here, like `/optimize`.
     fn compare(&self, body: &[u8]) -> HttpResponse {
         let started = Instant::now();
-        let req = match parse_compare_request(body) {
-            Ok(req) => req,
-            Err(resp) => return resp,
+        let (result, hit) = match self.runtime.recall_compare(body) {
+            Some(hit) => (Ok(hit), true),
+            None => match parse_compare_request(body) {
+                Ok(req) => self.runtime.compare(&req, Some(body)),
+                Err(resp) => return resp,
+            },
         };
-        match self.runtime.compare(&req) {
-            (Ok(mut out), hit) => {
-                out.wall_ms = started.elapsed().as_millis() as u64;
-                if hit {
-                    self.metrics.compare_hit_us.record(started.elapsed());
-                } else {
-                    self.metrics.compare_cold_us.record(started.elapsed());
-                }
-                ok_json(&out)
-            }
-            (Err(e), _) => api_error_response(&e),
-        }
+        let latency =
+            if hit { &self.metrics.compare_hit_us } else { &self.metrics.compare_cold_us };
+        served(result, started, latency)
     }
 
     /// `POST /batch`: a JSON array of optimize requests, answered by
@@ -302,6 +277,31 @@ impl App {
             })
             .collect();
         ok_json(&results)
+    }
+}
+
+/// Answer with a memoised route's result: the stored text with `wall_ms`
+/// stamped as the time since `started`, which `latency` records; or the
+/// error.
+fn served<T: Answer>(
+    result: Result<Encoded<T>, RuntimeError>,
+    started: Instant,
+    latency: &Histogram,
+) -> HttpResponse {
+    match result {
+        Ok(answer) => {
+            let elapsed = started.elapsed();
+            latency.record(elapsed);
+            HttpResponse::json(200, answer.body(elapsed.as_millis() as u64))
+        }
+        Err(RuntimeError::Api(e)) => api_error_response(&e),
+        // The flight this request joined died with its leader; the
+        // fault is the server's, not the request's.
+        Err(RuntimeError::LeaderFailed) => HttpResponse::error(
+            500,
+            "the computation this request was coalesced onto failed; retry",
+        ),
+        Err(e @ RuntimeError::Encode(_)) => HttpResponse::error(500, &e.to_string()),
     }
 }
 
@@ -376,6 +376,14 @@ pub fn parse_optimize_request(body: &[u8]) -> Result<OptimizeRequest, HttpRespon
     fill_optimize_defaults(&mut value);
     serde_json::from_value(&value)
         .map_err(|e| HttpResponse::error(400, &format!("bad optimize request: {e}")))
+}
+
+/// Parse a `/lint` body: JSON → defaults → typed request.
+fn parse_lint_request(body: &[u8]) -> Result<LintRequest, HttpResponse> {
+    let mut value = parse_json_body(body)?;
+    fill_defaults(&mut value, &[("cache", serde_json::to_value(&CacheSpec::paper_8k()))]);
+    serde_json::from_value(&value)
+        .map_err(|e| HttpResponse::error(400, &format!("bad lint request: {e}")))
 }
 
 /// Parse a `/compare` body: JSON → defaults on the base request and the
@@ -752,6 +760,129 @@ mod tests {
         assert!(unknown.body.contains("UnknownKernel"));
         assert_eq!(app.handle(&post("/lint", "not json")).status, 400);
         assert_eq!(app.handle(&get("/lint")).status, 405);
+    }
+
+    /// `(hits, misses, entries)` of the request-body alias.
+    fn alias_counts(app: &App) -> (u64, u64, usize) {
+        let stats = app.runtime.aliases().stats();
+        (stats.hits, stats.misses, stats.entries)
+    }
+
+    /// A body's answer with its stamp zeroed.
+    fn unstamped(body: &str) -> Outcome {
+        serde_json::from_str::<Outcome>(body).unwrap().without_timing()
+    }
+
+    #[test]
+    fn spelling_variants_share_one_answer_and_repeats_are_recalled() {
+        let app = App::new(1, 8);
+        let cold = app.handle(&post("/optimize", TINY));
+        let variants = [
+            TINY.to_string(),
+            // Key order.
+            r#"{"strategy": {"Exhaustive": {"max_evals": 500, "step": 4}},
+                "cache": {"assoc": 1, "size": 256, "line": 16},
+                "nest": {"Kernel": {"size": 12, "name": "T2D"}}}"#
+                .to_string(),
+            // Whitespace.
+            TINY.split_whitespace().collect::<String>(),
+            // A default spelled out.
+            TINY.replacen(
+                '{',
+                &format!(r#"{{"ga": {},"#, serde_json::to_string(&GaConfig::default()).unwrap()),
+                1,
+            ),
+        ];
+        for body in &variants {
+            // The first send parses and hits the memo, which writes the
+            // alias; the byte-identical second is recalled through it.
+            for _ in 0..2 {
+                let hot = app.handle(&post("/optimize", body));
+                assert_eq!(hot.status, 200, "{}", hot.body);
+                assert_eq!(unstamped(&hot.body), unstamped(&cold.body));
+            }
+        }
+        let n = variants.len();
+        assert_eq!(app.runtime.outcomes().stats().entries, 1, "one answer for every spelling");
+        assert_eq!(app.runtime.outcomes().stats().hits, 2 * n as u64);
+        assert_eq!(alias_counts(&app), (n as u64, n as u64 + 1, n), "one alias per spelling");
+    }
+
+    #[test]
+    fn rejected_and_miss_only_bodies_write_no_alias() {
+        let app = App::new(1, 8);
+        let rejected = [
+            "not json",
+            r#"{"nest": {"Kernel": {"name": "NOPE", "size": null}}, "strategy": "Tiling"}"#,
+            r#"{"nest": {"Kernel": {"name": "T2D", "size": 64}},
+                "strategy": {"Exhaustive": {"step": 1, "max_evals": 2}}}"#,
+        ];
+        for body in rejected {
+            for _ in 0..2 {
+                assert!(app.handle(&post("/optimize", body)).status >= 400);
+            }
+        }
+        // Every request a fresh key: each one computes.
+        for evals in 500..504 {
+            let body = TINY.replace("500", &evals.to_string());
+            assert_eq!(app.handle(&post("/optimize", &body)).status, 200);
+        }
+        assert_eq!(app.runtime.outcomes().stats().hits, 0);
+        assert_eq!(alias_counts(&app).2, 0, "no memo answered, so nothing was aliased");
+    }
+
+    #[test]
+    fn an_alias_whose_answer_was_evicted_falls_through_to_a_recompute() {
+        // One entry per memo: the second request evicts the first answer,
+        // but a computed answer writes no alias, so the first alias stays.
+        let app = App::new(1, 1);
+        let other = TINY.replace("500", "501");
+        let cold = app.handle(&post("/optimize", TINY));
+        app.handle(&post("/optimize", TINY));
+        app.handle(&post("/optimize", &other));
+        assert_eq!(alias_counts(&app).2, 1);
+        let again = app.handle(&post("/optimize", TINY));
+        assert_eq!(again.status, 200, "{}", again.body);
+        assert_eq!(unstamped(&again.body), unstamped(&cold.body));
+        assert_eq!(alias_counts(&app).0, 1, "the alias was found");
+        assert_eq!(app.metrics.optimize_cold_us.count(), 3, "and the answer recomputed");
+    }
+
+    #[test]
+    fn the_same_bytes_on_two_routes_never_share_an_alias() {
+        // A lint request that is also a complete optimize request.
+        let body = r#"{"nest": {"Kernel": {"name": "T2D", "size": 12}}, "strategy": "Tiling",
+                       "cache": {"size": 256, "line": 16, "assoc": 1}}"#;
+        let app = App::new(1, 8);
+        for _ in 0..3 {
+            let lint = app.handle(&post("/lint", body));
+            assert_eq!(lint.status, 200, "{}", lint.body);
+            assert!(serde_json::from_str::<cme_api::LintOutcome>(&lint.body).is_ok());
+        }
+        assert_eq!(alias_counts(&app), (1, 2, 1));
+        let optimize = app.handle(&post("/optimize", body));
+        assert_eq!(optimize.status, 200, "{}", optimize.body);
+        assert!(serde_json::from_str::<Outcome>(&optimize.body).is_ok(), "{}", optimize.body);
+        assert_eq!(alias_counts(&app).0, 1, "the /lint alias did not answer /optimize");
+        assert_eq!(app.metrics.optimize_cold_us.count(), 1);
+    }
+
+    #[test]
+    fn oversized_bodies_and_zero_capacity_write_no_alias() {
+        let padded = format!("{TINY}{}", " ".repeat(cme_runtime::MAX_ALIASED_BODY));
+        let app = App::new(1, 8);
+        for _ in 0..3 {
+            assert_eq!(app.handle(&post("/optimize", &padded)).status, 200);
+        }
+        assert_eq!(app.runtime.outcomes().stats().hits, 2, "still answered from the memo");
+        assert_eq!(alias_counts(&app), (0, 0, 0), "but never looked up or aliased");
+
+        let app = App::new(1, 0);
+        for _ in 0..3 {
+            assert_eq!(app.handle(&post("/optimize", TINY)).status, 200);
+        }
+        assert_eq!(alias_counts(&app).2, 0);
+        assert_eq!(app.runtime.aliases().stats().capacity, 0);
     }
 
     #[test]

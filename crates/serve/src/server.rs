@@ -31,10 +31,12 @@
 //!   can't fill it. The connection table itself is also bounded
 //!   (`queue_depth + 2·workers + 32`); beyond that, accepts get the same
 //!   `503`.
-//! * Workers write responses with a write timeout (the configured read
-//!   timeout), so a peer that stops *receiving* releases the worker too;
-//!   on keep-alive the connection goes back to the driver for the next
-//!   request, carrying any pipelined bytes already read.
+//! * A framed connection moves to its worker (no descriptor is
+//!   duplicated). Workers write responses with a write timeout (the
+//!   configured read timeout, set with `TCP_NODELAY` once at accept), so
+//!   a peer that stops *receiving* releases the worker too; on keep-alive
+//!   the connection goes back to the driver for the next request,
+//!   carrying any pipelined bytes already read.
 //!
 //! Shutdown (route handler or SIGINT/SIGTERM): the driver stops
 //! accepting, drops idle connections, and closes the queue; workers
@@ -273,14 +275,9 @@ pub fn start(config: &ServeConfig) -> std::io::Result<ServerHandle> {
 /// write, then either return the connection to the driver (keep-alive)
 /// or close it.
 fn serve_job(app: &App, job: Job, io_timeout: Duration, returns: &ReturnLane) {
-    let Job { stream, req, remainder } = job;
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_nodelay(true);
-    // Write-side backpressure: a peer that stops reading its response
-    // blocks this worker for at most the IO timeout, then the write
-    // fails and the connection is dropped.
-    let _ = stream.set_write_timeout(Some(io_timeout));
-    let mut writer = stream;
+    let Job { stream: mut writer, req, remainder } = job;
+    // Blocking for the write, under the write timeout set at accept.
+    let _ = writer.set_nonblocking(false);
     let resp = app.handle(&req);
     // Evaluated after handling so a `/shutdown` response closes its own
     // connection.
@@ -301,6 +298,12 @@ fn serve_job(app: &App, job: Job, io_timeout: Duration, returns: &ReturnLane) {
 enum Verdict {
     Keep,
     Close,
+    /// A complete request framed from the first `consumed` buffered
+    /// bytes: the connection moves to a worker.
+    Ready {
+        req: HttpRequest,
+        consumed: usize,
+    },
 }
 
 /// The IO driver loop: accept, read, frame, dispatch, expire — then wait
@@ -355,6 +358,13 @@ fn drive(
                         if stream.set_nonblocking(true).is_err() {
                             continue;
                         }
+                        // Set once for the connection's life. Write-side
+                        // backpressure: a peer that stops reading its
+                        // response blocks a worker for at most the IO
+                        // timeout, then the write fails and the
+                        // connection is dropped.
+                        let _ = stream.set_nodelay(true);
+                        let _ = stream.set_write_timeout(Some(config.read_timeout));
                         conns.push(Conn {
                             stream,
                             buf: Vec::new(),
@@ -377,13 +387,17 @@ fn drive(
         let now = Instant::now();
         let mut k = 0;
         while k < conns.len() {
-            let verdict = poll_conn(&mut conns[k], app, queue, config, now, &mut progressed);
-            match verdict {
+            // swap_remove is fine: order carries no fairness beyond the
+            // poll pass itself.
+            match poll_conn(&mut conns[k], config, now, &mut progressed) {
                 Verdict::Keep => k += 1,
-                Verdict::Close => {
-                    // swap_remove is fine: order carries no fairness
-                    // beyond the poll pass itself.
-                    drop(conns.swap_remove(k));
+                Verdict::Close => drop(conns.swap_remove(k)),
+                Verdict::Ready { req, consumed } => {
+                    // The driver stops polling the connection, or it would
+                    // steal the *next* request's bytes mid-handle.
+                    let mut conn = conns.swap_remove(k);
+                    let remainder = conn.buf.split_off(consumed);
+                    dispatch(Job { stream: conn.stream, req, remainder }, app, queue);
                 }
             }
         }
@@ -409,12 +423,11 @@ fn drive(
     drop(conns.drain(..));
 }
 
-/// Read whatever is available on one connection, then try to frame and
-/// dispatch requests. Returns whether the driver should keep polling it.
+/// Read whatever is available on one connection, then try to frame a
+/// request. Returns whether the driver should keep polling it, close it,
+/// or hand it to a worker.
 fn poll_conn(
     conn: &mut Conn,
-    app: &Arc<App>,
-    queue: &Arc<BoundedQueue<Job>>,
     config: &ServeConfig,
     now: Instant,
     progressed: &mut bool,
@@ -432,7 +445,10 @@ fn poll_conn(
                 // bounded by the framer, so the only way past the body
                 // cap plus head room is a pipelining flood.
                 if conn.buf.len() > config.max_body_bytes + crate::http::MAX_HEAD_BYTES {
-                    answer_and_close(conn, &HttpResponse::error(413, "pipelined burst too large"));
+                    answer_and_close(
+                        &conn.stream,
+                        &HttpResponse::error(413, "pipelined burst too large"),
+                    );
                     return Verdict::Close;
                 }
             }
@@ -453,33 +469,7 @@ fn poll_conn(
         }
         Frame::Ready { req, consumed } => {
             *progressed = true;
-            let remainder = conn.buf.split_off(consumed);
-            let Ok(stream) = conn.stream.try_clone() else {
-                return Verdict::Close;
-            };
-            let job = Job { stream, req, remainder };
-            match queue.try_push(job) {
-                Ok(()) => {
-                    app.metrics.queue_depth.store(queue.len() as u64, Ordering::Relaxed);
-                    // The worker owns the socket now (via its clone);
-                    // the driver must stop polling this connection or it
-                    // would steal the *next* request's bytes mid-handle.
-                    Verdict::Close
-                }
-                Err(_job) => {
-                    // The 503 contract: a full queue of *ready* requests
-                    // answers immediately from the driver.
-                    app.metrics.rejected_total.fetch_add(1, Ordering::Relaxed);
-                    answer_and_close(
-                        conn,
-                        &HttpResponse::error(
-                            503,
-                            "server overloaded: request queue is full, retry later",
-                        ),
-                    );
-                    Verdict::Close
-                }
-            }
+            Verdict::Ready { req, consumed }
         }
         Frame::Bad(e) => {
             let resp = match e {
@@ -493,8 +483,23 @@ fn poll_conn(
                     return Verdict::Close;
                 }
             };
-            answer_and_close(conn, &resp);
+            answer_and_close(&conn.stream, &resp);
             Verdict::Close
+        }
+    }
+}
+
+/// Queue a framed request for the workers. The 503 contract: a full queue
+/// of *ready* requests answers immediately from the driver.
+fn dispatch(job: Job, app: &App, queue: &BoundedQueue<Job>) {
+    match queue.try_push(job) {
+        Ok(()) => app.metrics.queue_depth.store(queue.len() as u64, Ordering::Relaxed),
+        Err(job) => {
+            app.metrics.rejected_total.fetch_add(1, Ordering::Relaxed);
+            answer_and_close(
+                &job.stream,
+                &HttpResponse::error(503, "server overloaded: request queue is full, retry later"),
+            );
         }
     }
 }
@@ -503,9 +508,9 @@ fn poll_conn(
 /// nonblocking — these responses are small enough for the send buffer,
 /// and the driver must never wait on a peer; a `WouldBlock` here just
 /// costs the client its error body.
-fn answer_and_close(conn: &mut Conn, resp: &HttpResponse) {
-    let _ = write_response(&mut conn.stream, resp, false);
-    let _ = conn.stream.shutdown(Shutdown::Both);
+fn answer_and_close(mut stream: &TcpStream, resp: &HttpResponse) {
+    let _ = write_response(&mut stream, resp, false);
+    let _ = stream.shutdown(Shutdown::Both);
 }
 
 /// Park the driver until the listener, the wake pipe, or any owned

@@ -12,12 +12,13 @@
 //! and review the diff like any other behaviour change.
 
 use cme_suite::api::{
-    BaselineKind, CompareOutcome, CompareRequest, NestSource, OptimizeRequest, Outcome,
-    PaddingMode, Session, StrategySpec,
+    BaselineKind, CompareOutcome, CompareRequest, LintOutcome, LintRequest, NestSource,
+    OptimizeRequest, Outcome, PaddingMode, Session, StrategySpec,
 };
 use cme_suite::cme::{CacheHierarchy, CacheLevel, CacheSpec};
 use cme_suite::loopnest::builder::{sub, NestBuilder};
 use cme_suite::loopnest::LoopNest;
+use cme_suite::serve::{App, HttpRequest, ServeConfig};
 use std::path::PathBuf;
 
 /// A small transpose that thrashes a 1 KB cache — tiling-friendly.
@@ -309,4 +310,84 @@ fn golden_files_parse_and_cover_all_families() {
         let outcome: Outcome = serde_json::from_str(&raw).expect(family);
         assert_eq!(outcome.wall_ms, 0, "{family}: goldens are stored timing-stripped");
     }
+}
+
+/// The golden lint request: `tests/golden/lint_t2d.json`'s kernel.
+fn lint_request() -> LintRequest {
+    LintRequest::new(NestSource::kernel_sized("T2D", 64))
+}
+
+fn post(path: &str, body: &str) -> HttpRequest {
+    HttpRequest {
+        method: "POST".into(),
+        path: path.into(),
+        http11: true,
+        headers: Vec::new(),
+        body: body.as_bytes().to_vec(),
+    }
+}
+
+/// A served body's own `wall_ms`.
+fn served_wall_ms(body: &str) -> u64 {
+    let doc: serde::Value = serde_json::from_str(body).expect("a JSON answer");
+    match doc.get("wall_ms") {
+        Some(serde::Value::Int(ms)) => *ms as u64,
+        Some(serde::Value::UInt(ms)) => *ms,
+        other => panic!("no wall_ms in {body}: {other:?}"),
+    }
+}
+
+/// Every answer type is served as the bytes of its own encoding, however
+/// the server answers it: computed, from the hot memo, through the
+/// request-body alias, and from the disk tier after a restart (or, for
+/// the memory-only lint and compare memos, computed again).
+#[test]
+fn served_bodies_are_the_answers_bytes_cold_hot_aliased_and_after_restart() {
+    let session = Session::default();
+    // (route, body, the answer's encoding stamped with a given wall_ms)
+    type Case = (&'static str, String, Box<dyn Fn(u64) -> Result<String, serde_json::Error>>);
+    let mut cases: Vec<Case> = Vec::new();
+    for (_, req) in family_requests() {
+        let answer = session.run(&req).expect("family runs");
+        let encode = move |ms| serde_json::to_string(&Outcome { wall_ms: ms, ..answer.clone() });
+        cases.push(("/optimize", serde_json::to_string(&req).unwrap(), Box::new(encode)));
+    }
+    let tournament = compare_request();
+    let answer = session.compare(&tournament).expect("tournament runs").without_timing();
+    let encode = move |ms| serde_json::to_string(&CompareOutcome { wall_ms: ms, ..answer.clone() });
+    cases.push(("/compare", serde_json::to_string(&tournament).unwrap(), Box::new(encode)));
+    let lint = lint_request();
+    let answer = session.lint(&lint).expect("lint runs");
+    let encode = move |ms| serde_json::to_string(&LintOutcome { wall_ms: ms, ..answer.clone() });
+    cases.push(("/lint", serde_json::to_string(&lint).unwrap(), Box::new(encode)));
+
+    let dir = std::env::temp_dir().join(format!("cme-golden-served-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config =
+        ServeConfig { cache_entries: 64, cache_dir: Some(dir.clone()), ..ServeConfig::default() };
+    let check = |app: &App, (path, body, encode): &Case, how: &str| {
+        let resp = app.handle(&post(path, body));
+        assert_eq!(resp.status, 200, "{path} {how}: {}", resp.body);
+        let want = encode(served_wall_ms(&resp.body)).unwrap();
+        assert_eq!(resp.body, want, "{path} {how}: served bytes differ from the answer's");
+    };
+
+    let app = App::with_runtime(1, &config.runtime_config());
+    for case in &cases {
+        for how in ["cold", "hot", "aliased"] {
+            check(&app, case, how);
+        }
+    }
+    assert_eq!(app.runtime.aliases().stats().hits, cases.len() as u64, "every third send recalled");
+    app.runtime.flush();
+    drop(app);
+
+    let app = App::with_runtime(1, &config.runtime_config());
+    for case in &cases {
+        check(&app, case, "after a restart");
+    }
+    let disk = app.runtime.outcomes().disk_stats().expect("disk tier configured");
+    // Every family from disk, and the tournament's four entrants too.
+    assert_eq!(disk.hits, family_requests().len() as u64 + 4);
+    let _ = std::fs::remove_dir_all(&dir);
 }
