@@ -26,7 +26,7 @@
 //!
 //! // MM is fully permutable: its only carried dependence is the
 //! // accumulator along k, direction (=, =, <).
-//! let mm = (kernel_by_name("MM").unwrap().build)(12);
+//! let mm = (kernel_by_name("MM").unwrap().build)(12).unwrap();
 //! assert!(rectangular_tiling_legality(&mm).is_legal());
 //! let deps = analyze(&mm);
 //! assert!(deps

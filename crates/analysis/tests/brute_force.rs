@@ -20,7 +20,7 @@ fn replays_in_order(nest: &LoopNest, tile: i64) -> bool {
 #[test]
 fn every_tileable_registry_kernel_keeps_its_dependences_when_tiled() {
     for spec in cme_kernels::all_kernels() {
-        let nest = (spec.build)(SIZE);
+        let nest = (spec.build)(SIZE).unwrap();
         if !rectangular_tiling_legality(&nest).is_legal() {
             continue;
         }

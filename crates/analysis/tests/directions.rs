@@ -9,7 +9,7 @@
 use cme_analysis::{analyze, rectangular_tiling_legality, render_dirs, Dir};
 
 fn build(name: &str, n: i64) -> cme_loopnest::LoopNest {
-    (cme_kernels::kernel_by_name(name).unwrap().build)(n)
+    (cme_kernels::kernel_by_name(name).unwrap().build)(n).unwrap()
 }
 
 #[test]

@@ -47,7 +47,7 @@ fn pretty(a: &DependenceAnalysis) -> String {
 #[test]
 fn static_analysis_matches_the_oracle_on_every_registry_kernel() {
     for spec in cme_kernels::all_kernels() {
-        let nest = (spec.build)(SHRUNK);
+        let nest = (spec.build)(SHRUNK).unwrap();
         let fast = analyze(&nest);
         let slow = oracle_analyze(&nest);
         assert!(
@@ -69,7 +69,7 @@ fn static_analysis_matches_the_oracle_on_every_registry_kernel() {
 #[test]
 fn legality_verdicts_agree_for_tiling_and_every_permutation() {
     for spec in cme_kernels::all_kernels() {
-        let nest = (spec.build)(SHRUNK);
+        let nest = (spec.build)(SHRUNK).unwrap();
         let fast = analyze(&nest);
         let slow = oracle_analyze(&nest);
         assert_eq!(
@@ -97,7 +97,7 @@ fn legality_verdicts_agree_for_tiling_and_every_permutation() {
 fn registry_covers_the_interesting_dependence_shapes() {
     let shape = |name: &str| {
         let spec = cme_kernels::kernel_by_name(name).unwrap();
-        let a = oracle_analyze(&(spec.build)(SHRUNK));
+        let a = oracle_analyze(&(spec.build)(SHRUNK).unwrap());
         (a.carried_count(), a.loop_independent_count())
     };
     let (adi_carried, _) = shape("ADI");

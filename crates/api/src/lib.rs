@@ -103,7 +103,7 @@ mod tests {
         let bad_size = NestSource::kernel_sized("MM", 0).resolve().unwrap_err();
         assert!(bad_size.to_string().starts_with("bad request: kernel `MM`: "), "got: {bad_size}");
 
-        let mut nest = cme_kernels::kernel_by_name("T2D").unwrap().build_default();
+        let mut nest = cme_kernels::kernel_by_name("T2D").unwrap().build_default().unwrap();
         nest.refs[1].subscripts[0] = nest.refs[1].subscripts[0].shift(10_000);
         let name = nest.name.clone();
         let inline = NestSource::inline(nest).resolve().unwrap_err();

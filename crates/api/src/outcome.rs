@@ -213,11 +213,6 @@ pub struct LintOutcome {
 }
 
 impl LintOutcome {
-    /// Number of warning-severity diagnostics.
-    pub fn warnings(&self) -> usize {
-        self.diagnostics.iter().filter(|d| d.severity == cme_analysis::Severity::Warning).count()
-    }
-
     pub fn without_timing(&self) -> LintOutcome {
         LintOutcome { wall_ms: 0, ..self.clone() }
     }

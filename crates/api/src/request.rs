@@ -60,7 +60,7 @@ impl NestSource {
                         "kernel `{name}`: size must be ≥ 1, got {n}"
                     )));
                 }
-                Ok((spec.build)(n))
+                (spec.build)(n).map_err(|e| ApiError::BadRequest(format!("kernel `{name}`: {e}")))
             }
             NestSource::Inline(nest) => {
                 nest.validate().map_err(|e| {

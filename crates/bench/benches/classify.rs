@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 fn bench_classify(c: &mut Criterion) {
-    let nest = cme_kernels::linalg::mm(500);
+    let nest = cme_kernels::linalg::mm(500).unwrap();
     let layout = MemoryLayout::contiguous(&nest);
     let model = CmeModel::new(CacheSpec::paper_8k());
 

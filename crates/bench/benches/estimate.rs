@@ -11,7 +11,7 @@ fn bench_estimate(c: &mut Criterion) {
 
     for (name, size) in [("MM", 500i64), ("T2D", 2000), ("DPSSB", 48)] {
         let spec = cme_kernels::kernel_by_name(name).unwrap();
-        let nest = (spec.build)(size);
+        let nest = (spec.build)(size).unwrap();
         let layout = MemoryLayout::contiguous(&nest);
         c.bench_function(&format!("estimate/{name}_{size}/untiled_164pts"), |b| {
             b.iter(|| {

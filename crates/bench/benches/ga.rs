@@ -18,7 +18,7 @@ fn bench_ga(c: &mut Criterion) {
     });
 
     // Full tile-size search on MM_100 (the paper's per-nest compile step).
-    let nest = cme_kernels::linalg::mm(100);
+    let nest = cme_kernels::linalg::mm(100).unwrap();
     let layout = MemoryLayout::contiguous(&nest);
     c.bench_function("ga/full_tiling_search_mm100_8k", |b| {
         let opt = TilingOptimizer::new(CacheSpec::paper_8k());

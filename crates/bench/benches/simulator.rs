@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
 fn bench_simulator(c: &mut Criterion) {
-    let nest = cme_kernels::linalg::mm(64);
+    let nest = cme_kernels::linalg::mm(64).unwrap();
     let layout = MemoryLayout::contiguous(&nest);
     let geo = CacheGeometry::paper_8k();
     let accesses = nest.accesses();

@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 fn bench_transform(c: &mut Criterion) {
-    let nest = cme_kernels::linalg::mm(500);
+    let nest = cme_kernels::linalg::mm(500).unwrap();
     let layout = MemoryLayout::contiguous(&nest);
     let tiles = TileSizes(vec![37, 22, 41]); // non-dividing: 8 regions
 
@@ -24,7 +24,7 @@ fn bench_transform(c: &mut Criterion) {
         b.iter(|| model.analyze(black_box(&nest), &layout, Some(&tiles)).addr.len())
     });
 
-    let add = cme_kernels::nas::add(64);
+    let add = cme_kernels::nas::add(64).unwrap();
     let add_layout = MemoryLayout::contiguous(&add);
     let add_tiles = TileSizes(vec![13, 9, 21, 3]); // 4-deep: 16 regions
     c.bench_function("transform/analyze_tiled_add64_4d", |b| {

@@ -81,7 +81,7 @@ fn main() {
     }
 
     let spec = cme_kernels::kernel_by_name("MM").expect("MM kernel");
-    let nest = (spec.build)(spec.default_size);
+    let nest = spec.build_default().expect("MM builds at its default size");
     let layout = MemoryLayout::contiguous(&nest);
     let model = CmeModel::new(CacheSpec::paper_8k());
     let sampling = SamplingConfig::paper();

@@ -1,23 +1,26 @@
 #![forbid(unsafe_code)]
-//! Shared experiment harness for regenerating the paper's tables and
-//! figures. Each binary in `src/bin/` prints one table/figure with the
-//! paper's reported numbers alongside our measured ones; `full_report`
-//! runs everything and rewrites `EXPERIMENTS.md`.
+//! Experiment harness regenerating the paper's tables and figures.
+//!
+//! Each experiment is one function in [`experiments`] that returns a
+//! [`Section`]: a title and a Markdown body holding the measured numbers
+//! next to the paper's. [`EXPERIMENTS`] names them all; the `experiments`
+//! binary prints sections by name, and `experiments report` writes
+//! `EXPERIMENTS.md` from the same sections ([`report`]), so the report
+//! and a single experiment cannot print different numbers. The
+//! `eval_throughput` and `serve_throughput` binaries are the CI
+//! performance gates, and `benches/` holds the criterion micro-benches.
 
-use cme_core::{CacheSpec, CmeModel, MissEstimate, SamplingConfig};
+pub mod experiments;
+
+pub use experiments::{experiment, report, Experiment, Section, Sweeps, EXPERIMENTS, REPORT};
+
+use cme_core::CacheSpec;
 use cme_ga::GaConfig;
+use cme_kernels::paper::Table3Row;
 use cme_kernels::KernelConfig;
-use cme_loopnest::MemoryLayout;
+use cme_loopnest::{LoopNest, MemoryLayout};
 use cme_tileopt::{KernelReport, TilingOptimizer};
 use rayon::prelude::*;
-
-/// The two cache configurations of the evaluation (§4.1).
-pub fn cache_8k() -> CacheSpec {
-    CacheSpec::paper_8k()
-}
-pub fn cache_32k() -> CacheSpec {
-    CacheSpec::paper_32k()
-}
 
 /// Deterministic GA seed per kernel name so runs are reproducible but
 /// kernels are independent.
@@ -25,95 +28,61 @@ pub fn seed_for(name: &str) -> u64 {
     name.bytes().fold(0xA5A5_5A5A_0123_4567u64, |h, b| h.wrapping_mul(131).wrapping_add(b as u64))
 }
 
-/// Run the before/after-tiling experiment for one kernel configuration.
-pub fn run_tiling(cfg: &KernelConfig, cache: CacheSpec) -> KernelReport {
-    let nest = cfg.build();
+/// Registry kernel `name` at problem size `n`, with its contiguous
+/// layout.
+pub(crate) fn kernel(name: &str, n: i64) -> (LoopNest, MemoryLayout) {
+    let spec = cme_kernels::kernel_by_name(name).expect("registry kernel");
+    let nest = (spec.build)(n).unwrap_or_else(|e| panic!("{name} {n}: {e}"));
     let layout = MemoryLayout::contiguous(&nest);
+    (nest, layout)
+}
+
+/// The paper's GA tile search on `cache`, seeded for the nest `name`
+/// with [`seed_for`].
+pub(crate) fn tiling_optimizer(cache: CacheSpec, name: &str) -> TilingOptimizer {
     let mut opt = TilingOptimizer::new(cache);
-    opt.ga = GaConfig { seed: seed_for(&cfg.sized_name), ..GaConfig::default() };
-    match opt.optimize(&nest, &layout) {
-        Ok(out) => KernelReport {
-            kernel: cfg.sized_name.clone(),
-            cache_kb: cache.size / 1024,
-            total_before_pct: out.before.miss_ratio() * 100.0,
-            repl_before_pct: out.before.replacement_ratio() * 100.0,
-            total_after_pct: out.after.miss_ratio() * 100.0,
-            repl_after_pct: out.after.replacement_ratio() * 100.0,
-            tiles: Some(out.tiles),
-            ga_generations: out.ga.generations,
-            ga_evaluations: out.ga.evaluations,
-            ga_converged: out.ga.converged,
-        },
-        Err(e) => panic!("{}: {e}", cfg.sized_name),
+    opt.ga = GaConfig { seed: seed_for(name), ..GaConfig::default() };
+    opt
+}
+
+/// Run the before/after-tiling experiment for one kernel configuration.
+pub(crate) fn run_tiling(cfg: &KernelConfig, cache: CacheSpec) -> KernelReport {
+    let nest = cfg.build().expect("figure configurations build");
+    let layout = MemoryLayout::contiguous(&nest);
+    let out = tiling_optimizer(cache, &cfg.sized_name)
+        .optimize(&nest, &layout)
+        .unwrap_or_else(|e| panic!("{}: {e}", cfg.sized_name));
+    KernelReport {
+        kernel: cfg.sized_name.clone(),
+        cache_kb: cache.size / 1024,
+        total_before_pct: out.before.miss_ratio() * 100.0,
+        repl_before_pct: out.before.replacement_ratio() * 100.0,
+        total_after_pct: out.after.miss_ratio() * 100.0,
+        repl_after_pct: out.after.replacement_ratio() * 100.0,
+        tiles: Some(out.tiles),
+        ga_generations: out.ga.generations,
+        ga_evaluations: out.ga.evaluations,
+        ga_converged: out.ga.converged,
     }
 }
 
 /// The Fig. 8 / Fig. 9 sweep: every figure configuration, in parallel.
-pub fn sweep_figure(cache: CacheSpec) -> Vec<KernelReport> {
+pub(crate) fn sweep_figure(cache: CacheSpec) -> Vec<KernelReport> {
     let configs = cme_kernels::figure_configs();
     configs.par_iter().map(|cfg| run_tiling(cfg, cache)).collect()
 }
 
-/// Estimate the untiled miss ratios of a kernel (no optimisation).
-pub fn untiled_estimate(cfg: &KernelConfig, cache: CacheSpec) -> MissEstimate {
-    let nest = cfg.build();
-    let layout = MemoryLayout::contiguous(&nest);
-    CmeModel::new(cache)
-        .analyze(&nest, &layout, None)
-        .estimate(&SamplingConfig::paper(), seed_for(&cfg.sized_name))
-}
-
-/// One measured Table 3 row.
-#[derive(Debug, Clone, serde::Serialize)]
-pub struct Table3Report {
-    pub label: String,
-    pub original_pct: f64,
-    pub padding_pct: f64,
-    pub padding_tiling_pct: f64,
-}
-
-/// Run the Table 3 pipeline (padding, then padding + tiling) for the
-/// given paper rows on one cache.
-pub fn run_table3(cache: CacheSpec, rows: &[cme_kernels::paper::Table3Row]) -> Vec<Table3Report> {
-    use cme_tileopt::PaddingOptimizer;
-    rows.par_iter()
-        .map(|row| {
-            let spec = cme_kernels::kernel_by_name(row.kernel).expect("kernel");
-            let size = row.size.unwrap_or(spec.default_size);
-            let nest = (spec.build)(size);
-            let mut opt = PaddingOptimizer::new(cache);
-            opt.ga = GaConfig { seed: seed_for(&nest.name), ..GaConfig::default() };
-            let out = opt.optimize_then_tile(&nest).expect("legal");
-            let tiled = out.tiled.as_ref().expect("pipeline output");
-            Table3Report {
-                label: match row.size {
-                    Some(s) => format!("{} {s}", row.kernel),
-                    None => row.kernel.to_string(),
-                },
-                original_pct: out.original.replacement_ratio() * 100.0,
-                padding_pct: out.padded.replacement_ratio() * 100.0,
-                padding_tiling_pct: tiled.after.replacement_ratio() * 100.0,
-            }
+/// Table 4 row: the percentage of reports with a post-tiling replacement
+/// ratio below 1%, 2% and 5%, leaving out the kernels of the `table3`
+/// rows for the same cache.
+pub(crate) fn table4_fractions(reports: &[KernelReport], table3: &[Table3Row]) -> (f64, f64, f64) {
+    let in_table3 = |r: &KernelReport| {
+        table3.iter().any(|row| match row.size {
+            Some(size) => r.kernel == format!("{}_{size}", row.kernel),
+            None => r.kernel == row.kernel,
         })
-        .collect()
-}
-
-/// Kernels excluded from Table 4 per cache size (the Table 3 rows).
-pub fn table3_kernels(cache_kb: i64) -> Vec<String> {
-    let mut v = vec!["ADD".to_string(), "BTRIX".into(), "VPENTA1".into(), "VPENTA2".into()];
-    if cache_kb == 8 {
-        v.push("ADI_1000".into());
-        v.push("ADI_2000".into());
-    }
-    v
-}
-
-/// Table 4 row: fraction of reports (excluding Table 3 kernels) with
-/// post-tiling replacement ratio below each threshold, in percent.
-pub fn table4_fractions(reports: &[KernelReport], cache_kb: i64) -> (f64, f64, f64) {
-    let excluded = table3_kernels(cache_kb);
-    let rows: Vec<&KernelReport> =
-        reports.iter().filter(|r| !excluded.contains(&r.kernel)).collect();
+    };
+    let rows: Vec<&KernelReport> = reports.iter().filter(|r| !in_table3(r)).collect();
     let n = rows.len().max(1) as f64;
     let frac = |thr: f64| rows.iter().filter(|r| r.repl_after_pct < thr).count() as f64 / n * 100.0;
     (frac(1.0), frac(2.0), frac(5.0))
@@ -171,7 +140,7 @@ mod tests {
             ga_converged: true,
         };
         let reports = vec![mk("MM_500", 0.5), mk("ADD", 60.0), mk("T2D_100", 3.0)];
-        let (p1, p2, p5) = table4_fractions(&reports, 8);
+        let (p1, p2, p5) = table4_fractions(&reports, cme_kernels::paper::TABLE3_8K);
         // ADD excluded: of the two remaining, one < 1%, one < 5%.
         assert_eq!(p1, 50.0);
         assert_eq!(p2, 50.0);

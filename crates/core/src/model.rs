@@ -137,11 +137,6 @@ impl NestAnalysis {
     pub fn estimate(&self, cfg: &SamplingConfig, seed: u64) -> MissEstimate {
         one_level(sampled(self, &[self.cache], cfg, seed))
     }
-
-    /// Convenience: sampled estimate with the paper's 164-point setup.
-    pub fn estimate_paper(&self, seed: u64) -> MissEstimate {
-        self.estimate(&SamplingConfig::paper(), seed)
-    }
 }
 
 #[cfg(test)]

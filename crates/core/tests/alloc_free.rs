@@ -78,7 +78,7 @@ fn warm_classification_allocates_nothing() {
     let mut outer_branched = false;
     for (kernel, size, levels, tiles) in cases {
         let spec = cme_kernels::kernel_by_name(kernel).expect("registry kernel");
-        let nest = (spec.build)(size);
+        let nest = (spec.build)(size).unwrap();
         let layout = MemoryLayout::contiguous(&nest);
         let an = CmeModel::new(levels[0]).analyze(&nest, &layout, Some(&TileSizes(tiles)));
         // A fixed spread of in-space points, every reference at each.

@@ -54,12 +54,12 @@ fn check_all_caches(nest: &LoopNest, tiles: Option<&TileSizes>) {
 
 #[test]
 fn t2d_untiled_matches_simulator() {
-    check_all_caches(&transposes::t2d(12), None);
+    check_all_caches(&transposes::t2d(12).unwrap(), None);
 }
 
 #[test]
 fn t2d_tiled_matches_simulator() {
-    let nest = transposes::t2d(12);
+    let nest = transposes::t2d(12).unwrap();
     for tiles in [vec![4, 4], vec![3, 5], vec![5, 12], vec![1, 12], vec![12, 12]] {
         check_all_caches(&nest, Some(&TileSizes(tiles)));
     }
@@ -67,15 +67,15 @@ fn t2d_tiled_matches_simulator() {
 
 #[test]
 fn t3d_small_matches_simulator() {
-    check_all_caches(&transposes::t3djik(6), None);
-    check_all_caches(&transposes::t3djik(6), Some(&TileSizes(vec![2, 3, 6])));
-    check_all_caches(&transposes::t3dikj(6), None);
-    check_all_caches(&transposes::t3dikj(6), Some(&TileSizes(vec![4, 2, 2])));
+    check_all_caches(&transposes::t3djik(6).unwrap(), None);
+    check_all_caches(&transposes::t3djik(6).unwrap(), Some(&TileSizes(vec![2, 3, 6])));
+    check_all_caches(&transposes::t3dikj(6).unwrap(), None);
+    check_all_caches(&transposes::t3dikj(6).unwrap(), Some(&TileSizes(vec![4, 2, 2])));
 }
 
 #[test]
 fn mm_matches_simulator() {
-    let nest = linalg::mm(8);
+    let nest = linalg::mm(8).unwrap();
     check_all_caches(&nest, None);
     for tiles in [vec![2, 2, 8], vec![3, 3, 3], vec![8, 1, 4]] {
         check_all_caches(&nest, Some(&TileSizes(tiles)));
@@ -84,21 +84,21 @@ fn mm_matches_simulator() {
 
 #[test]
 fn jacobi_matches_simulator() {
-    let nest = stencils::jacobi3d(8);
+    let nest = stencils::jacobi3d(8).unwrap();
     check_all_caches(&nest, None);
     check_all_caches(&nest, Some(&TileSizes(vec![3, 2, 4])));
 }
 
 #[test]
 fn adi_matches_simulator() {
-    let nest = stencils::adi(12);
+    let nest = stencils::adi(12).unwrap();
     check_all_caches(&nest, None);
     check_all_caches(&nest, Some(&TileSizes(vec![4, 5])));
 }
 
 #[test]
 fn matmul_matches_simulator() {
-    let nest = linalg::matmul(7);
+    let nest = linalg::matmul(7).unwrap();
     check_all_caches(&nest, None);
     check_all_caches(&nest, Some(&TileSizes(vec![3, 3, 3])));
 }
@@ -106,7 +106,7 @@ fn matmul_matches_simulator() {
 #[test]
 fn padded_layouts_match_simulator() {
     // Padding changes bases and strides; the model must track both.
-    let nest = transposes::t2d(12);
+    let nest = transposes::t2d(12).unwrap();
     let inter = vec![16, 48];
     let intra = vec![vec![3, 0], vec![0, 2]];
     let layout = MemoryLayout::with_padding(&nest, &inter, &intra);
@@ -118,7 +118,7 @@ fn padded_layouts_match_simulator() {
 
 #[test]
 fn four_way_associative_matches() {
-    let nest = linalg::mm(6);
+    let nest = linalg::mm(6).unwrap();
     let layout = MemoryLayout::contiguous(&nest);
     check(&nest, &layout, None, 256, 32, 4);
     check(&nest, &layout, Some(&TileSizes(vec![2, 3, 4])), 256, 32, 4);

@@ -684,7 +684,7 @@ mod tests {
         // stream — so inline outcomes can be byte-identical to named ones.
         let parsed = parse(MM8).unwrap();
         let registry = cme_kernels::kernel_by_name("MM").unwrap();
-        assert_eq!(parsed, (registry.build)(8));
+        assert_eq!(parsed, (registry.build)(8).unwrap());
     }
 
     #[test]

@@ -156,7 +156,7 @@ mod tests {
         // Every Table 1 kernel must survive render → parse unchanged:
         // the textual format can express the whole registry.
         for spec in cme_kernels::all_kernels() {
-            let nest = (spec.build)(spec.default_size.clamp(8, 20));
+            let nest = (spec.build)(spec.default_size.clamp(8, 20)).unwrap();
             let src = render(&nest).unwrap_or_else(|e| panic!("{}: {e}", spec.name));
             let back = parse(&src).unwrap_or_else(|e| panic!("{}: {e}\n{src}", spec.name));
             assert_eq!(back, nest, "{}:\n{src}", spec.name);

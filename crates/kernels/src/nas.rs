@@ -8,7 +8,7 @@
 //! reports for the originals.
 
 use cme_loopnest::builder::{sub, NestBuilder};
-use cme_loopnest::LoopNest;
+use cme_loopnest::{LoopNest, NestError};
 
 /// Default problem size for ADD (`u(5,n,n,n)` is 5 MB at n = 64, and
 /// `5·64³·4 = 640·8192` bytes, so `u` and `rhs` alias exactly).
@@ -24,7 +24,7 @@ pub const VPENTA_N: i64 = 128;
 /// Pure streaming: no temporal reuse, only spatial. With aligned bases the
 /// `u`/`rhs` pairs ping-pong in a direct-mapped cache and destroy the
 /// spatial reuse, which padding restores.
-pub fn add(n: i64) -> LoopNest {
+pub fn add(n: i64) -> Result<LoopNest, NestError> {
     let mut nb = NestBuilder::new(format!("ADD_{n}"));
     let k = nb.add_loop("k", 1, n);
     let j = nb.add_loop("j", 1, n);
@@ -35,7 +35,7 @@ pub fn add(n: i64) -> LoopNest {
     nb.read(u, &[sub(m), sub(i), sub(j), sub(k)]);
     nb.read(rhs, &[sub(m), sub(i), sub(j), sub(k)]);
     nb.write(u, &[sub(m), sub(i), sub(j), sub(k)]);
-    nb.finish().expect("add is a valid nest")
+    nb.finish()
 }
 
 /// NAS BTRIX, backward block sweep (3-deep). **Reconstruction**: the
@@ -45,7 +45,7 @@ pub fn add(n: i64) -> LoopNest {
 ///
 /// Combines capacity misses (plane reuse across the `kk` sweep) with
 /// conflicts (`s`/`a` alias when `n³·4` is a multiple of the cache size).
-pub fn btrix(n: i64) -> LoopNest {
+pub fn btrix(n: i64) -> Result<LoopNest, NestError> {
     let mut nb = NestBuilder::new(format!("BTRIX_{n}"));
     let kk = nb.add_loop("kk", 1, n - 1);
     let j = nb.add_loop("j", 1, n);
@@ -59,7 +59,7 @@ pub fn btrix(n: i64) -> LoopNest {
     nb.read(a, &[sub(i), sub(j), z.clone()]);
     nb.read(s, &[sub(i), sub(j), z.clone()]);
     nb.write(s, &[sub(i), sub(j), z]);
-    nb.finish().expect("btrix is a valid nest")
+    nb.finish()
 }
 
 /// NAS VPENTA ("invert 3 pentadiagonals simultaneously"), loop 1
@@ -67,7 +67,7 @@ pub fn btrix(n: i64) -> LoopNest {
 /// `do j / do i : y(i,j) = f(i,j) − a(i,j)·b(i,j) − c(i,j)·d(i,j);`
 /// `x(i,j) = e(i,j)·y(i,j)` — eight identically-shaped arrays that alias
 /// pairwise in a direct-mapped cache.
-pub fn vpenta1(n: i64) -> LoopNest {
+pub fn vpenta1(n: i64) -> Result<LoopNest, NestError> {
     let mut nb = NestBuilder::new(format!("VPENTA1_{n}"));
     let j = nb.add_loop("j", 1, n);
     let i = nb.add_loop("i", 1, n);
@@ -80,12 +80,12 @@ pub fn vpenta1(n: i64) -> LoopNest {
     }
     nb.write(y, &[sub(i), sub(j)]);
     nb.write(x, &[sub(i), sub(j)]);
-    nb.finish().expect("vpenta1 is a valid nest")
+    nb.finish()
 }
 
 /// NAS VPENTA, loop 2 (2-deep): the forward-elimination recurrence,
 /// `do j / do i : x(i,j) = y(i,j) − c(i,j)·x(i,j−1)`.
-pub fn vpenta2(n: i64) -> LoopNest {
+pub fn vpenta2(n: i64) -> Result<LoopNest, NestError> {
     let mut nb = NestBuilder::new(format!("VPENTA2_{n}"));
     let j = nb.add_loop("j", 2, n);
     let i = nb.add_loop("i", 1, n);
@@ -96,7 +96,7 @@ pub fn vpenta2(n: i64) -> LoopNest {
     nb.read(c, &[sub(i), sub(j)]);
     nb.read(x, &[sub(i), sub(j).minus(1)]);
     nb.write(x, &[sub(i), sub(j)]);
-    nb.finish().expect("vpenta2 is a valid nest")
+    nb.finish()
 }
 
 #[cfg(test)]
@@ -106,23 +106,23 @@ mod tests {
 
     #[test]
     fn structures() {
-        assert_eq!(add(8).depth(), 4);
-        assert_eq!(btrix(8).depth(), 3);
-        assert_eq!(vpenta1(8).depth(), 2);
-        assert_eq!(vpenta1(8).refs.len(), 8);
-        assert_eq!(vpenta2(8).depth(), 2);
+        assert_eq!(add(8).unwrap().depth(), 4);
+        assert_eq!(btrix(8).unwrap().depth(), 3);
+        assert_eq!(vpenta1(8).unwrap().depth(), 2);
+        assert_eq!(vpenta1(8).unwrap().refs.len(), 8);
+        assert_eq!(vpenta2(8).unwrap().depth(), 2);
     }
 
     #[test]
     fn default_sizes_alias_in_8k_cache() {
         // The whole point of these defaults: bases congruent mod 8192.
-        let a = add(ADD_N);
+        let a = add(ADD_N).unwrap();
         let l = MemoryLayout::contiguous(&a);
         assert_eq!((l.bases[1] - l.bases[0]) % 8192, 0, "ADD u/rhs alias");
-        let b = btrix(BTRIX_N);
+        let b = btrix(BTRIX_N).unwrap();
         let lb = MemoryLayout::contiguous(&b);
         assert_eq!((lb.bases[1] - lb.bases[0]) % 8192, 0, "BTRIX s/a alias");
-        let v = vpenta1(VPENTA_N);
+        let v = vpenta1(VPENTA_N).unwrap();
         let lv = MemoryLayout::contiguous(&v);
         for w in 1..v.arrays.len() {
             assert_eq!((lv.bases[w] - lv.bases[0]) % 8192, 0, "VPENTA arrays alias");
@@ -131,7 +131,7 @@ mod tests {
 
     #[test]
     fn btrix_reversed_subscript_in_bounds() {
-        let n = btrix(16);
+        let n = btrix(16).unwrap();
         assert!(n.validate().is_ok());
     }
 }

@@ -1,7 +1,7 @@
 //! The numbers the paper reports, as data.
 //!
-//! Every experiment binary prints its measured values next to these, and
-//! `EXPERIMENTS.md` records both. Values are percentages exactly as they
+//! Every experiment in `cme-bench` prints its measured values next to
+//! these, and `EXPERIMENTS.md` records both. Values are percentages exactly as they
 //! appear in the paper's tables and conclusions.
 
 /// One row of Table 2 (8 KB direct-mapped, 32 B lines): miss ratios before

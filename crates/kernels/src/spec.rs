@@ -1,7 +1,7 @@
 //! Kernel registry: Table 1 of the paper, with the figure problem sizes.
 
 use crate::{bihar, linalg, nas, stencils, transposes, triangular};
-use cme_loopnest::LoopNest;
+use cme_loopnest::{LoopNest, NestError};
 
 /// A kernel entry of Table 1.
 #[derive(Debug, Clone, Copy)]
@@ -19,13 +19,15 @@ pub struct KernelSpec {
     pub sizes: &'static [i64],
     /// Size used when the figures give no explicit size.
     pub default_size: i64,
-    /// Constructor.
-    pub build: fn(i64) -> LoopNest,
+    /// Constructor. Fails on a size the kernel cannot take: one whose
+    /// arrays exceed [`LoopNest::MAX_TOTAL_BYTES`], or an odd size for
+    /// the radix-2 BIHAR passes.
+    pub build: fn(i64) -> Result<LoopNest, NestError>,
 }
 
 impl KernelSpec {
     /// Build at the default size.
-    pub fn build_default(&self) -> LoopNest {
+    pub fn build_default(&self) -> Result<LoopNest, NestError> {
         (self.build)(self.default_size)
     }
 
@@ -61,7 +63,7 @@ pub struct KernelConfig {
 }
 
 impl KernelConfig {
-    pub fn build(&self) -> LoopNest {
+    pub fn build(&self) -> Result<LoopNest, NestError> {
         (self.spec.build)(self.size)
     }
 }
@@ -301,7 +303,8 @@ mod tests {
             "Table 1 lists 17 kernels; TSHIFT and the triangular trio ride along"
         );
         for k in &ks {
-            let nest = (k.build)(k.sizes.first().copied().unwrap_or(k.default_size).clamp(8, 20));
+            let size = k.sizes.first().copied().unwrap_or(k.default_size).clamp(8, 20);
+            let nest = (k.build)(size).unwrap();
             assert_eq!(nest.depth(), k.depth, "{}: depth must match Table 1", k.name);
             assert!(nest.validate().is_ok(), "{}", k.name);
         }
@@ -314,7 +317,7 @@ mod tests {
                 // Cap huge sizes in tests: building is cheap but validate
                 // everything the figures actually use up to 500.
                 if cfg.size <= 500 {
-                    let nest = cfg.build();
+                    let nest = cfg.build().unwrap();
                     assert!(nest.validate().is_ok(), "{}", cfg.sized_name);
                 }
             }

@@ -1,14 +1,14 @@
 //! Stencil / sweep kernels: JACOBI3D and ADI (Table 1).
 
 use cme_loopnest::builder::{sub, NestBuilder};
-use cme_loopnest::LoopNest;
+use cme_loopnest::{LoopNest, NestError};
 
 /// 3-D Jacobi relaxation (partial differential equation solver, Table 1):
 /// 7-point stencil over the interior,
 /// `a(i,j,k) = f(b(i,j,k), b(i±1,j,k), b(i,j±1,k), b(i,j,k±1))`.
 ///
 /// Loop order `k, j, i` (innermost contiguous for column-major arrays).
-pub fn jacobi3d(n: i64) -> LoopNest {
+pub fn jacobi3d(n: i64) -> Result<LoopNest, NestError> {
     let mut nb = NestBuilder::new(format!("JACOBI3D_{n}"));
     let k = nb.add_loop("k", 2, n - 1);
     let j = nb.add_loop("j", 2, n - 1);
@@ -23,7 +23,7 @@ pub fn jacobi3d(n: i64) -> LoopNest {
     nb.read(b, &[sub(i), sub(j), sub(k).minus(1)]);
     nb.read(b, &[sub(i), sub(j), sub(k).plus(1)]);
     nb.write(a, &[sub(i), sub(j), sub(k)]);
-    nb.finish().expect("jacobi3d is a valid nest")
+    nb.finish()
 }
 
 /// 2-D ADI (alternating direction implicit) integration, forward column
@@ -32,7 +32,7 @@ pub fn jacobi3d(n: i64) -> LoopNest {
 ///
 /// Carries a `(1, 0)` dependence in `(j, i)` loop coordinates — legal to
 /// tile rectangularly.
-pub fn adi(n: i64) -> LoopNest {
+pub fn adi(n: i64) -> Result<LoopNest, NestError> {
     let mut nb = NestBuilder::new(format!("ADI_{n}"));
     let j = nb.add_loop("j", 2, n);
     let i = nb.add_loop("i", 1, n);
@@ -43,7 +43,7 @@ pub fn adi(n: i64) -> LoopNest {
     nb.read(a, &[sub(i), sub(j)]);
     nb.read(b, &[sub(i), sub(j)]);
     nb.write(x, &[sub(i), sub(j)]);
-    nb.finish().expect("adi is a valid nest")
+    nb.finish()
 }
 
 #[cfg(test)]
@@ -52,7 +52,7 @@ mod tests {
 
     #[test]
     fn jacobi_structure() {
-        let n = jacobi3d(20);
+        let n = jacobi3d(20).unwrap();
         assert_eq!(n.depth(), 3);
         assert_eq!(n.refs.len(), 8);
         assert_eq!(n.iterations(), 18 * 18 * 18);
@@ -60,7 +60,7 @@ mod tests {
 
     #[test]
     fn adi_structure_and_legality() {
-        let n = adi(100);
+        let n = adi(100).unwrap();
         assert_eq!(n.depth(), 2);
         assert_eq!(n.refs.len(), 4);
     }

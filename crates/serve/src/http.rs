@@ -1,11 +1,12 @@
-//! HTTP/1.1 framing over any `BufRead`/`Write` pair — no sockets in this
-//! module, so the parser and writer are unit-testable on byte buffers.
+//! HTTP/1.1 framing of byte buffers and response writing over any
+//! `Write` — no sockets in this module, so the framer and writer are
+//! unit-testable on byte buffers.
 //!
 //! Supports exactly what the service needs: request line + headers +
 //! `Content-Length` bodies (transfer encodings are rejected), hard caps
 //! on header and body size, and HTTP/1.0 / 1.1 keep-alive semantics.
 
-use std::io::{BufRead, Write};
+use std::io::Write;
 
 /// Total bytes allowed for the request line plus all headers.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -41,14 +42,9 @@ impl HttpRequest {
     }
 }
 
-/// Why a request could not be read off the wire.
+/// Why buffered bytes can never frame a request.
 #[derive(Debug)]
 pub enum HttpParseError {
-    /// Clean EOF before the first byte of a request: the peer ended a
-    /// keep-alive connection. Not an error to report.
-    ConnectionClosed,
-    /// Read failure (including read timeouts) mid-stream.
-    Io(std::io::Error),
     /// Structurally invalid request — the response is a 400.
     Malformed(String),
     /// Declared body above the configured cap — the response is a 413.
@@ -57,51 +53,31 @@ pub enum HttpParseError {
     BodyTooLarge { declared: usize, cap: usize },
 }
 
-/// Read one line (CRLF- or LF-terminated), charging its bytes against the
-/// shared head budget. The read itself goes through a `Take` of the
-/// remaining budget, so a newline-free flood can never buffer more than
-/// `MAX_HEAD_BYTES` — the cap bounds memory, not just parsed size.
-fn read_line<R: BufRead>(
-    reader: &mut R,
-    head_bytes: &mut usize,
-    first: bool,
-) -> Result<String, HttpParseError> {
-    let mut buf = Vec::new();
-    let budget = (MAX_HEAD_BYTES + 1 - *head_bytes) as u64;
-    let mut limited = std::io::Read::take(&mut *reader, budget);
-    match limited.read_until(b'\n', &mut buf) {
-        Ok(0) => {
-            return Err(if first {
-                HttpParseError::ConnectionClosed
-            } else {
-                HttpParseError::Malformed("unexpected EOF inside request head".into())
-            });
-        }
-        Ok(_) => {}
-        Err(e) => return Err(HttpParseError::Io(e)),
-    }
-    *head_bytes += buf.len();
+/// Split the next line (CRLF- or LF-terminated, ending stripped) off the
+/// front of `head`, charging its bytes against the shared head budget: a
+/// line that would take the head past `MAX_HEAD_BYTES` is refused.
+fn next_line<'a>(head: &mut &'a [u8], head_bytes: &mut usize) -> Result<&'a str, HttpParseError> {
+    let window = &head[..head.len().min(MAX_HEAD_BYTES + 1 - *head_bytes)];
+    let len = window.iter().position(|&b| b == b'\n').map_or(window.len(), |k| k + 1);
+    let (line, rest) = head.split_at(len);
+    *head = rest;
+    *head_bytes += len;
     if *head_bytes > MAX_HEAD_BYTES {
         return Err(HttpParseError::Malformed(format!(
             "request head exceeds {MAX_HEAD_BYTES} bytes"
         )));
     }
-    while matches!(buf.last(), Some(b'\n' | b'\r')) {
-        buf.pop();
-    }
-    String::from_utf8(buf).map_err(|_| HttpParseError::Malformed("non-UTF-8 request head".into()))
+    let end = line.iter().rposition(|&b| !matches!(b, b'\n' | b'\r')).map_or(0, |k| k + 1);
+    std::str::from_utf8(&line[..end])
+        .map_err(|_| HttpParseError::Malformed("non-UTF-8 request head".into()))
 }
 
-/// Parse the request line and headers (no body) and validate the body
-/// declaration; returns the body-less request plus the declared
-/// `Content-Length`. Shared by the blocking reader ([`parse_request`])
-/// and the buffer framer ([`frame_request`]).
-fn parse_head<R: BufRead>(
-    reader: &mut R,
-    max_body: usize,
-) -> Result<(HttpRequest, usize), HttpParseError> {
+/// Parse the request line and headers of a complete head (no body) and
+/// validate the body declaration; returns the body-less request plus the
+/// declared `Content-Length`.
+fn parse_head(mut head: &[u8], max_body: usize) -> Result<(HttpRequest, usize), HttpParseError> {
     let mut head_bytes = 0usize;
-    let request_line = read_line(reader, &mut head_bytes, true)?;
+    let request_line = next_line(&mut head, &mut head_bytes)?;
     let mut parts = request_line.split_whitespace();
     let (Some(method), Some(path), Some(version), None) =
         (parts.next(), parts.next(), parts.next(), parts.next())
@@ -118,7 +94,7 @@ fn parse_head<R: BufRead>(
 
     let mut headers = Vec::new();
     loop {
-        let line = read_line(reader, &mut head_bytes, false)?;
+        let line = next_line(&mut head, &mut head_bytes)?;
         if line.is_empty() {
             break;
         }
@@ -152,24 +128,6 @@ fn parse_head<R: BufRead>(
     Ok((req, declared))
 }
 
-/// Parse one request from the stream. Blocks until a full request (or an
-/// error) is available; `max_body` caps the accepted `Content-Length`.
-pub fn parse_request<R: BufRead>(
-    reader: &mut R,
-    max_body: usize,
-) -> Result<HttpRequest, HttpParseError> {
-    let (req, declared) = parse_head(reader, max_body)?;
-    let mut body = vec![0u8; declared];
-    reader.read_exact(&mut body).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            HttpParseError::Malformed("body shorter than Content-Length".into())
-        } else {
-            HttpParseError::Io(e)
-        }
-    })?;
-    Ok(HttpRequest { body, ..req })
-}
-
 /// What [`frame_request`] found at the front of a connection buffer.
 #[derive(Debug)]
 pub enum Frame {
@@ -183,7 +141,7 @@ pub enum Frame {
 }
 
 /// Index just past the head terminator (`\r\n\r\n`, or the bare `\n\n`
-/// the line reader also tolerates), if present.
+/// the line splitter also tolerates), if present.
 fn find_head_end(buf: &[u8]) -> Option<usize> {
     // A lone `\n\n` is two bytes, so scanning windows of two finds both
     // forms; `\r\n\r\n` is recognised as the `\n` at its end preceded by
@@ -204,10 +162,10 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
     None
 }
 
-/// Try to frame one complete request from the front of `buf` — the
-/// non-blocking counterpart of [`parse_request`], used by the readiness
-/// core: the IO driver accumulates bytes as they arrive and calls this
-/// after every read, so no thread ever *waits* on a slow peer.
+/// Try to frame one complete request from the front of `buf`. The
+/// readiness core's IO driver accumulates bytes as they arrive and calls
+/// this after every read, so no thread ever *waits* on a slow peer;
+/// `max_body` caps the accepted `Content-Length`.
 pub fn frame_request(buf: &[u8], max_body: usize) -> Frame {
     let Some(head_end) = find_head_end(buf) else {
         // No terminator yet. A head that already exceeds the cap can
@@ -219,8 +177,7 @@ pub fn frame_request(buf: &[u8], max_body: usize) -> Frame {
         }
         return Frame::Incomplete;
     };
-    let mut head = &buf[..head_end];
-    let (req, declared) = match parse_head(&mut head, max_body) {
+    let (req, declared) = match parse_head(&buf[..head_end], max_body) {
         Ok(parsed) => parsed,
         Err(e) => return Frame::Bad(e),
     };
@@ -314,10 +271,15 @@ pub fn write_response<W: Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
 
+    /// Frame `bytes`, which must hold at least one complete request or
+    /// bytes that can never become one.
     fn parse(bytes: &[u8]) -> Result<HttpRequest, HttpParseError> {
-        parse_request(&mut BufReader::new(bytes), 1024)
+        match frame_request(bytes, 1024) {
+            Frame::Ready { req, .. } => Ok(req),
+            Frame::Bad(e) => Err(e),
+            Frame::Incomplete => panic!("{:?} is incomplete", String::from_utf8_lossy(bytes)),
+        }
     }
 
     #[test]
@@ -349,12 +311,16 @@ mod tests {
     #[test]
     fn two_pipelined_requests_parse_from_one_stream() {
         let raw: &[u8] = b"POST /a HTTP/1.1\r\nContent-Length: 2\r\n\r\nhiGET /b HTTP/1.1\r\n\r\n";
-        let mut reader = BufReader::new(raw);
-        let a = parse_request(&mut reader, 1024).unwrap();
+        let Frame::Ready { req: a, consumed } = frame_request(raw, 1024) else {
+            panic!("first request must frame");
+        };
         assert_eq!((a.path.as_str(), a.body.as_slice()), ("/a", b"hi".as_slice()));
-        let b = parse_request(&mut reader, 1024).unwrap();
+        let rest = &raw[consumed..];
+        let Frame::Ready { req: b, consumed } = frame_request(rest, 1024) else {
+            panic!("second request must frame");
+        };
         assert_eq!(b.path, "/b");
-        assert!(matches!(parse_request(&mut reader, 1024), Err(HttpParseError::ConnectionClosed)));
+        assert!(matches!(frame_request(&rest[consumed..], 1024), Frame::Incomplete));
     }
 
     #[test]
@@ -381,10 +347,11 @@ mod tests {
     }
 
     #[test]
-    fn truncated_body_and_bad_length_are_malformed() {
+    fn truncated_body_is_incomplete_and_bad_length_malformed() {
+        // The rest of the body may still arrive.
         assert!(matches!(
-            parse(b"POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc"),
-            Err(HttpParseError::Malformed(_))
+            frame_request(b"POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc", 1024),
+            Frame::Incomplete
         ));
         assert!(matches!(
             parse(b"POST / HTTP/1.1\r\nContent-Length: ten\r\n\r\n"),
@@ -405,27 +372,13 @@ mod tests {
     #[test]
     fn newline_free_flood_is_rejected_without_buffering_it() {
         // A request line with no terminator must fail at the head cap,
-        // not accumulate the peer's entire stream in memory. The reader
-        // below would hand out 1 GiB if asked; the parser must stop at
-        // MAX_HEAD_BYTES + 1 bytes consumed.
-        struct Flood {
-            served: usize,
-        }
-        impl std::io::Read for Flood {
-            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-                let n = buf.len().min(1 << 30);
-                buf[..n].fill(b'a');
-                self.served += n;
-                Ok(n)
-            }
-        }
-        let mut reader = BufReader::new(Flood { served: 0 });
-        assert!(matches!(parse_request(&mut reader, 1024), Err(HttpParseError::Malformed(_))));
-        assert!(
-            reader.get_ref().served <= MAX_HEAD_BYTES + 8 * 1024 + 1,
-            "parser consumed {} bytes — the head cap did not bound the read",
-            reader.get_ref().served
-        );
+        // so the driver never buffers more of the peer's stream than
+        // that: up to the cap the head may still complete, one byte past
+        // it the buffer is refused.
+        let mut flood = vec![b'a'; MAX_HEAD_BYTES];
+        assert!(matches!(frame_request(&flood, 1024), Frame::Incomplete));
+        flood.push(b'a');
+        assert!(matches!(frame_request(&flood, 1024), Frame::Bad(HttpParseError::Malformed(_))));
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! by `capacity` no matter how fast requests arrive.
 
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
@@ -94,7 +95,9 @@ pub struct WorkerPool {
 
 impl WorkerPool {
     /// Spawn `count` workers (at least one), each looping
-    /// `pop → handler` until the queue closes and drains.
+    /// `pop → handler` until the queue closes and drains. A handler that
+    /// panics loses its own job (a server job's connection drops with
+    /// it), and its worker goes on to the next one.
     pub fn spawn<T, F>(count: usize, queue: Arc<BoundedQueue<T>>, handler: F) -> Self
     where
         T: Send + 'static,
@@ -109,7 +112,7 @@ impl WorkerPool {
                     .name(format!("cme-serve-worker-{k}"))
                     .spawn(move || {
                         while let Some(item) = queue.pop() {
-                            handler(item);
+                            let _ = catch_unwind(AssertUnwindSafe(|| handler(item)));
                         }
                     })
                     .expect("spawn worker thread")
@@ -189,6 +192,25 @@ mod tests {
         q.close();
         pool.join();
         assert_eq!(sum.load(Ordering::Relaxed), accepted);
+    }
+
+    #[test]
+    fn a_panicking_job_does_not_take_its_worker_down() {
+        let q = Arc::new(BoundedQueue::new(8));
+        let sum = Arc::new(AtomicU64::new(0));
+        let pool = {
+            let sum = Arc::clone(&sum);
+            WorkerPool::spawn(1, Arc::clone(&q), move |v: u64| {
+                assert_ne!(v, 0, "job 0 panics");
+                sum.fetch_add(v, Ordering::Relaxed);
+            })
+        };
+        for v in [0, 1, 2] {
+            q.try_push(v).unwrap();
+        }
+        q.close();
+        pool.join();
+        assert_eq!(sum.load(Ordering::Relaxed), 3, "the one worker ran the jobs after the panic");
     }
 
     #[test]

@@ -886,6 +886,40 @@ mod tests {
     }
 
     #[test]
+    fn unbuildable_registry_sizes_answer_400_on_every_route() {
+        // An odd size for a radix-2 BIHAR pass, and arrays past the
+        // address-space bound: the kernel's builder refuses both, and
+        // every route answers the refusal instead of losing a worker.
+        let app = App::new(1, 8);
+        for (nest, needle) in [
+            (r#"{"Kernel": {"name": "DRADBG2", "size": 13}}"#, "even size, got 13"),
+            (r#"{"Kernel": {"name": "MM", "size": 3000000000}}"#, "exceed 2^62 bytes"),
+        ] {
+            let one = format!(
+                r#"{{"nest": {nest}, "cache": {{"size": 256, "line": 16, "assoc": 1}},
+                    "strategy": "Tiling"}}"#
+            );
+            let compare = format!(r#"{{"base": {one}, "strategies": ["oblivious"]}}"#);
+            for (path, body) in [
+                ("/optimize", one.clone()),
+                ("/lint", format!(r#"{{"nest": {nest}}}"#)),
+                ("/analyze", format!(r#"{{"nest": {nest}}}"#)),
+                ("/compare", compare),
+            ] {
+                let resp = app.handle(&post(path, &body));
+                assert_eq!(resp.status, 400, "{path} {nest}: {}", resp.body);
+                assert!(resp.body.contains(needle), "{path}: {}", resp.body);
+            }
+            let resp = app.handle(&post("/batch", &format!("[{TINY}, {one}]")));
+            assert_eq!(resp.status, 200, "{}", resp.body);
+            let slots: Vec<Value> = serde_json::from_str(&resp.body).unwrap();
+            assert!(slots[0].get("strategy").is_some(), "slot 0 is an outcome");
+            let message = slots[1].get("message").and_then(Value::as_str).unwrap_or_default();
+            assert!(message.contains(needle), "slot 1: {:?}", slots[1]);
+        }
+    }
+
+    #[test]
     fn analyze_answers_with_defaults() {
         let app = App::new(1, 8);
         let resp = app.handle(&post(

@@ -478,10 +478,6 @@ fn poll_conn(
                     &format!("body of {declared} bytes exceeds the {cap}-byte cap"),
                 ),
                 HttpParseError::Malformed(msg) => HttpResponse::error(400, &msg),
-                // Unreachable from a buffer (no IO, no EOF), but total.
-                HttpParseError::ConnectionClosed | HttpParseError::Io(_) => {
-                    return Verdict::Close;
-                }
             };
             answer_and_close(&conn.stream, &resp);
             Verdict::Close

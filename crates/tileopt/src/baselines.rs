@@ -147,7 +147,7 @@ mod tests {
 
     #[test]
     fn baselines_produce_valid_tilings() {
-        let nest = mm(100);
+        let nest = mm(100).unwrap();
         let layout = MemoryLayout::contiguous(&nest);
         let cache = CacheSpec::paper_8k();
         for tiles in [
@@ -163,7 +163,7 @@ mod tests {
 
     #[test]
     fn fixed_fraction_scales_with_cache() {
-        let nest = mm(1000);
+        let nest = mm(1000).unwrap();
         let small = fixed_fraction(&nest, CacheSpec::paper_8k(), 0.5);
         let large = fixed_fraction(&nest, CacheSpec::paper_32k(), 0.5);
         assert!(large.0[2] > small.0[2]);

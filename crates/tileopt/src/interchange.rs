@@ -98,7 +98,7 @@ mod tests {
 
     #[test]
     fn interchange_never_worse_than_identity() {
-        let nest = cme_kernels::transposes::t2d(64);
+        let nest = cme_kernels::transposes::t2d(64).unwrap();
         let layout = MemoryLayout::contiguous(&nest);
         let opt = TilingOptimizer::new(CacheSpec::direct_mapped(1024, 32));
         let identity = opt.optimize(&nest, &layout).unwrap();
@@ -116,7 +116,7 @@ mod tests {
         // uniform-distance checker would reject it outright (zero legal
         // permutations), while the dependence analysis proves the column
         // bands disjoint, so both loop orders are explored.
-        let nest = cme_kernels::transposes::tshift(48);
+        let nest = cme_kernels::transposes::tshift(48).unwrap();
         let opt = TilingOptimizer::new(CacheSpec::direct_mapped(1024, 32));
         let out = optimize_with_interchange(&opt, &nest).unwrap();
         assert_eq!(out.explored, 2, "dependence-free 2-deep nest: both orders legal");
@@ -126,7 +126,7 @@ mod tests {
     fn recurrence_restricts_permutations() {
         // VPENTA2 carries x(i,j-1): loops (j,i); swapping to (i,j) keeps
         // the distance lex-positive, so both orders are legal.
-        let nest = cme_kernels::nas::vpenta2(32);
+        let nest = cme_kernels::nas::vpenta2(32).unwrap();
         let opt = TilingOptimizer::new(CacheSpec::direct_mapped(1024, 32));
         let out = optimize_with_interchange(&opt, &nest).unwrap();
         assert!(out.explored >= 1);

@@ -171,18 +171,18 @@ mod tests {
 
     #[test]
     fn shrink_respects_the_budget_and_validates() {
-        let nest = mm(300); // 27e6 iterations × 4 refs ≫ budget
+        let nest = mm(300).unwrap(); // 27e6 iterations × 4 refs ≫ budget
         let probe = shrink_to_budget(&nest, PROBE_ACCESS_BUDGET);
         assert!(probe.accesses() <= PROBE_ACCESS_BUDGET);
         probe.validate().expect("shrunk nest stays valid");
         // Small nests pass through untouched.
-        let tiny = mm(8);
+        let tiny = mm(8).unwrap();
         assert_eq!(shrink_to_budget(&tiny, PROBE_ACCESS_BUDGET), tiny);
     }
 
     #[test]
     fn probing_is_deterministic_and_budgeted() {
-        let nest = mm(128);
+        let nest = mm(128).unwrap();
         let hier = CacheHierarchy::single(CacheSpec::paper_8k());
         let a = latency_based_tiles(&nest, &hier);
         let b = latency_based_tiles(&nest, &hier);
@@ -194,7 +194,7 @@ mod tests {
 
     #[test]
     fn small_cache_prefers_smaller_tiles_than_large_cache() {
-        let nest = mm(128);
+        let nest = mm(128).unwrap();
         let small = latency_based_tiles(&nest, &CacheHierarchy::single(CacheSpec::paper_8k()));
         let large = latency_based_tiles(&nest, &CacheHierarchy::single(CacheSpec::paper_32k()));
         let inner = nest.depth() - 1;

@@ -134,7 +134,7 @@ mod tests {
 
     #[test]
     fn mm_recursion_reaches_the_base_case() {
-        let nest = mm(128);
+        let nest = mm(128).unwrap();
         let res = cache_oblivious_tiles(&nest);
         assert!(res.halvings > 0);
         assert!(res.halvable.iter().all(|&b| b), "MM is fully permutable");
@@ -149,8 +149,8 @@ mod tests {
         // Same nest twice: identical result (the function takes nothing
         // else, so this pins determinism rather than parameter-freedom —
         // the hierarchy-swap pin lives in the API-level test).
-        let a = cache_oblivious_tiles(&mm(96));
-        let b = cache_oblivious_tiles(&mm(96));
+        let a = cache_oblivious_tiles(&mm(96).unwrap());
+        let b = cache_oblivious_tiles(&mm(96).unwrap());
         assert_eq!(a, b);
     }
 
@@ -176,7 +176,7 @@ mod tests {
     fn small_nests_stay_untiled() {
         // A nest whose whole working set already fits the base case needs
         // no halving at all.
-        let nest = mm(8);
+        let nest = mm(8).unwrap();
         let res = cache_oblivious_tiles(&nest);
         assert_eq!(res.halvings, 0);
         assert!(res.tiles.is_trivial(&nest));

@@ -44,7 +44,7 @@ fn geometries() -> Vec<(&'static str, CacheSpec, CacheGeometry)> {
 /// Small kernels: big enough that the 164-point sample is a genuine
 /// sample (volume > 164), small enough to trace-simulate exactly.
 fn kernels() -> Vec<LoopNest> {
-    vec![linalg::mm(14), transposes::t2d(28), stencils::jacobi3d(10)]
+    vec![linalg::mm(14).unwrap(), transposes::t2d(28).unwrap(), stencils::jacobi3d(10).unwrap()]
 }
 
 /// Tile each loop to roughly a third of its span — an arbitrary but
@@ -230,7 +230,7 @@ fn single_level_hierarchy_is_byte_identical_to_legacy_model() {
 /// must sit within the model slack alone of the simulator.
 #[test]
 fn exhaustive_cme_matches_simulator() {
-    let nest = transposes::t2d(20);
+    let nest = transposes::t2d(20).unwrap();
     let layout = MemoryLayout::contiguous(&nest);
     let mut failures = Vec::new();
     for (geo_name, spec, geo) in geometries() {

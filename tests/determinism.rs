@@ -10,7 +10,7 @@ use cme_suite::tileopt::{PaddingOptimizer, TilingOptimizer};
 
 #[test]
 fn estimates_are_deterministic() {
-    let nest = mm(200);
+    let nest = mm(200).unwrap();
     let layout = MemoryLayout::contiguous(&nest);
     let model = CmeModel::new(CacheSpec::paper_8k());
     for tiles in [None, Some(TileSizes(vec![40, 20, 10]))] {
@@ -39,7 +39,7 @@ fn ga_trajectory_is_deterministic() {
 
 #[test]
 fn tiling_outcome_is_deterministic() {
-    let nest = mm(128);
+    let nest = mm(128).unwrap();
     let layout = MemoryLayout::contiguous(&nest);
     let mut opt = TilingOptimizer::new(CacheSpec::paper_8k());
     opt.ga = GaConfig { seed: 7, ..GaConfig::default() };
@@ -52,7 +52,7 @@ fn tiling_outcome_is_deterministic() {
 
 #[test]
 fn padding_outcome_is_deterministic() {
-    let nest = cme_suite::kernels::nas::vpenta2(64);
+    let nest = cme_suite::kernels::nas::vpenta2(64).unwrap();
     let mut opt = PaddingOptimizer::new(CacheSpec::paper_8k());
     opt.ga = GaConfig { seed: 99, ..GaConfig::default() };
     let a = opt.optimize(&nest);
@@ -68,7 +68,7 @@ fn padding_outcome_is_deterministic() {
 #[test]
 fn early_abandon_search_is_deterministic() {
     use cme_suite::cme::EarlyAbandonConfig;
-    let nest = mm(96);
+    let nest = mm(96).unwrap();
     let layout = MemoryLayout::contiguous(&nest);
     let mut opt = TilingOptimizer::new(CacheSpec::paper_8k());
     opt.sampling =

@@ -204,6 +204,7 @@ fn schema_doc_covers_the_wire_surface() {
         "Tournament mode",
         "cme compare",
         "compare_cache",
+        "--bin experiments",
     ] {
         assert!(readme.contains(needle), "README.md no longer mentions `{needle}`");
     }

@@ -102,7 +102,7 @@ proptest! {
             (_, true) => 1,
             (_, false) => 2 + size_pick.min(1),
         };
-        let nest = (spec.build)(size);
+        let nest = (spec.build)(size).unwrap();
         let layout = MemoryLayout::contiguous(&nest);
         let h = hierarchy_of(&geoms, 1 + twin_pick % (geoms.len() - 1));
         let cfg = SamplingConfig::paper();

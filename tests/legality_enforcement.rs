@@ -89,7 +89,7 @@ fn no_strategy_family_emits_an_illegal_transform() {
     let session = Session::default();
     let cache = CacheSpec::direct_mapped(1024, 32);
     let nests: Vec<(&str, LoopNest)> = vec![
-        ("ADI", (cme_suite::kernels::kernel_by_name("ADI").unwrap().build)(24)),
+        ("ADI", (cme_suite::kernels::kernel_by_name("ADI").unwrap().build)(24).unwrap()),
         ("hazard", reversal_hazard(24)),
     ];
     for (name, nest) in &nests {

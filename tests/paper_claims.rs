@@ -26,7 +26,7 @@ fn tiling_removes_capacity_misses() {
     ];
     for (name, n) in cases {
         let spec = cme_suite::kernels::kernel_by_name(name).unwrap();
-        let nest = (spec.build)(n);
+        let nest = (spec.build)(n).unwrap();
         let layout = MemoryLayout::contiguous(&nest);
         let out = TilingOptimizer::new(cache).optimize(&nest, &layout).expect("legal");
         let before = out.before.replacement_ratio();
@@ -51,7 +51,7 @@ fn conflict_kernels_need_padding() {
         let spec = cme_suite::kernels::kernel_by_name(name).unwrap();
         // Reduced sizes that keep the alias structure (multiples of 8 KB).
         let n = if name == "ADD" { 16 } else { 64 };
-        let nest = (spec.build)(n);
+        let nest = (spec.build)(n).unwrap();
         let layout = MemoryLayout::contiguous(&nest);
         let tiled = TilingOptimizer::new(cache).optimize(&nest, &layout).expect("legal");
         assert!(
@@ -77,7 +77,7 @@ fn ga_parameters_match_paper() {
     assert_eq!(cfg.max_generations, ga_params::MAX_GENERATIONS);
     assert_eq!(cfg.convergence_margin, ga_params::CONVERGENCE_MARGIN);
 
-    let nest = cme_suite::kernels::transposes::t2d(64);
+    let nest = cme_suite::kernels::transposes::t2d(64).unwrap();
     let layout = MemoryLayout::contiguous(&nest);
     let out = TilingOptimizer::new(CacheSpec::direct_mapped(1024, 32))
         .optimize(&nest, &layout)
@@ -90,7 +90,7 @@ fn ga_parameters_match_paper() {
 #[test]
 fn sampling_matches_paper_design() {
     assert_eq!(SamplingConfig::paper().sample_size(), 164);
-    let nest = cme_suite::kernels::transposes::t2d(100);
+    let nest = cme_suite::kernels::transposes::t2d(100).unwrap();
     let layout = MemoryLayout::contiguous(&nest);
     let model = cme_suite::cme::CmeModel::new(CacheSpec::paper_8k());
     let an = model.analyze(&nest, &layout, None);

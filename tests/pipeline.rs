@@ -23,7 +23,7 @@ fn sim_repl(
 
 #[test]
 fn ga_tiling_verified_by_simulator_t2d() {
-    let nest = transposes::t2d(128);
+    let nest = transposes::t2d(128).unwrap();
     let layout = MemoryLayout::contiguous(&nest);
     let cache = CacheSpec::paper_8k();
     let geo = CacheGeometry::paper_8k();
@@ -45,7 +45,7 @@ fn ga_tiling_verified_by_simulator_t2d() {
 
 #[test]
 fn ga_tiling_verified_by_simulator_mm() {
-    let nest = linalg::mm(96);
+    let nest = linalg::mm(96).unwrap();
     let layout = MemoryLayout::contiguous(&nest);
     let cache = CacheSpec::paper_8k();
     let geo = CacheGeometry::paper_8k();
@@ -87,7 +87,7 @@ fn padding_pipeline_verified_by_simulator() {
 
 #[test]
 fn estimates_track_simulator_across_tilings() {
-    let nest = transposes::t3djik(24);
+    let nest = transposes::t3djik(24).unwrap();
     let layout = MemoryLayout::contiguous(&nest);
     let cache = CacheSpec::direct_mapped(2048, 32);
     let geo = CacheGeometry { size: 2048, line: 32, assoc: 1 };
@@ -113,7 +113,7 @@ fn estimates_track_simulator_across_tilings() {
 fn full_figure_config_set_builds_and_validates() {
     for cfg in cme_suite::kernels::figure_configs() {
         if cfg.size <= 200 {
-            let nest = cfg.build();
+            let nest = cfg.build().unwrap();
             nest.validate().unwrap_or_else(|e| panic!("{}: {e}", cfg.sized_name));
             assert!(
                 cme_suite::analysis::rectangular_tiling_legality(&nest).is_legal(),

@@ -34,7 +34,11 @@ fn geometries() -> Vec<(&'static str, CacheSpec, CacheGeometry)> {
 /// Triangular kernels sized so the shape volume exceeds the 164-point
 /// sample (a genuine sample) while staying cheap to trace exactly.
 fn kernels() -> Vec<LoopNest> {
-    vec![triangular::trmm(12), triangular::trsolve(40), triangular::ttrans(40)]
+    vec![
+        triangular::trmm(12).unwrap(),
+        triangular::trsolve(40).unwrap(),
+        triangular::ttrans(40).unwrap(),
+    ]
 }
 
 /// Tile each loop to roughly a third of its hull span — deterministic,
@@ -163,7 +167,7 @@ fn triangular_hierarchy_cme_matches_two_level_simulator() {
 #[test]
 fn exhaustive_cme_matches_simulator_on_triangular_space() {
     let mut failures = Vec::new();
-    for nest in [triangular::ttrans(24), triangular::trsolve(24)] {
+    for nest in [triangular::ttrans(24).unwrap(), triangular::trsolve(24).unwrap()] {
         let layout = MemoryLayout::contiguous(&nest);
         for (geo_name, spec, geo) in geometries() {
             let sim = simulate_nest(&nest, &layout, None, geo);
